@@ -3,7 +3,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload fig-lp --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload fig-lp --seed 1 --seconds 35 --trace 0
 
 Workloads (the rationale for each is recorded in ``BENCHMARK.json`` and
 ``perfbench/README.md``):
@@ -14,7 +14,7 @@ Workloads (the rationale for each is recorded in ``BENCHMARK.json`` and
     executor, no result cache.
 ``fig-sim``
     Figure 6/7 cells of the T=40 column, beyond the LP limit: the three
-    policies only, 10 trials per cell, 24 ports.
+    policies only, 24 ports, load 1.
 ``solve-service``
     ``repro submit`` traffic against an in-process ``repro serve``: one
     closed-loop client alternating fresh verified FS-MRT / FS-ART /
@@ -23,16 +23,19 @@ Workloads (the rationale for each is recorded in ``BENCHMARK.json`` and
 A run measures *units* until ``--seconds`` are used up.  A unit is one
 sweep, or one service session on a fresh cache directory, over input
 set ``k``; the inputs of set ``k`` derive only from ``--seed`` and
-``k``, and each unit uses the next set, so a run averages over many
-instances.  A closing unit repeats set 0 and must reproduce its result
-digest (and, when traced, its work counters) exactly.
+``k``.  A run cycles through the workload's fixed number of input sets,
+so sets run more than once, spread over the run; a set's time is its
+fastest run.  Sweep units run pinned to the quieter vCPU and their times
+are scaled to a reference CPU speed (see :func:`run_units`).  Every run
+of a set must reproduce the set's result digest (and, when traced, its
+work counters) exactly.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs every
-input set twice, untraced then traced, and prints the per-layer
-metrics: exclusive self seconds per layer (see ``perfbench/layers.py``),
-the work counters of set 0, the tracing overhead, and the attribution
-checks.  The last line of standard output is one JSON object:
-``{"correct", "attempted", "failed", "metrics"}``.
+input set twice in a row, untraced then traced, and prints the
+per-layer metrics: exclusive self seconds per layer (see
+``perfbench/layers.py``), the work counters of set 0, the tracing
+overhead, and the attribution checks.  The last line of standard output
+is one JSON object: ``{"correct", "attempted", "failed", "metrics"}``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -89,11 +92,16 @@ class ServiceSpec:
 
 
 SWEEPS: Dict[str, SweepSpec] = {
-    "fig-lp": SweepSpec(12, (1 / 3, 1.0, 2.0), (6, 8), 2, True),
-    "fig-sim": SweepSpec(24, (1.0,), (40,), 10, False),
+    "fig-lp": SweepSpec(12, (1 / 3, 1.0, 2.0), (6,), 1, True),
+    "fig-sim": SweepSpec(24, (1.0,), (40,), 1, False),
 }
 SERVICE = ServiceSpec(ports=8, mean_arrivals=8.0, rounds=6, trials=10)
 WORKLOADS = tuple(SWEEPS) + ("solve-service",)
+#: Input sets a run cycles through, each one trial per cell for the
+#: sweeps.  More sets average over more instances; fewer give each set
+#: more runs to take the fastest of.  A 35-second run makes about two
+#: passes on ``fig-lp`` and ``solve-service``, and five on ``fig-sim``.
+INPUT_SETS = {"fig-lp": 36, "fig-sim": 20, "solve-service": 7}
 
 #: Relative slack of the LP lower-bound check (HiGHS optimality tolerance).
 BOUND_RTOL = 1e-6
@@ -118,6 +126,13 @@ class Unit:
     calls: Dict[str, int] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
+    #: Factor to reference CPU speed (sweeps; see :func:`run_units`).
+    scale: float = 1.0
+
+    @property
+    def ref_s(self) -> float:
+        """Wall time at reference CPU speed."""
+        return self.wall_s * self.scale
 
     def record(self, tracer: LayerTracer) -> None:
         self.traced = True
@@ -147,6 +162,49 @@ def digest_of(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
     ).hexdigest()
+
+
+#: CPUs the benchmark may run on, as it was started.
+CPUS = frozenset(os.sched_getaffinity(0))
+#: Reference time of :func:`probe_s`: sweep times are reported as if the
+#: probe took exactly this long (about its time on a quiet vCPU of a
+#: 2-vCPU Xeon VM).
+PROBE_REF_S = 1.0e-3
+
+
+def probe_s(repeats: int = 5) -> float:
+    """Fastest of ``repeats`` timings of a fixed pure-Python loop (about
+    a millisecond each): the current speed of this thread's CPU."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        total = 0
+        for i in range(15000):
+            total += i * i
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def pin_to_quietest_cpu() -> float:
+    """Pin this thread, and the threads and processes it starts, to the
+    allowed CPU on which :func:`probe_s` runs fastest right now, and
+    return that probe time.
+
+    On a shared host, other tenants slow one vCPU at a time, by up to
+    1.6x for several seconds; the scheduler cannot see that, so an
+    unpinned single-threaded run stays on a slowed vCPU.
+    """
+    timed = []
+    for cpu in sorted(CPUS):
+        os.sched_setaffinity(0, {cpu})
+        timed.append((probe_s(), cpu))
+    best, cpu = min(timed)
+    os.sched_setaffinity(0, {cpu})
+    return best
+
+
+def unpin() -> None:
+    os.sched_setaffinity(0, CPUS)
 
 
 def percentile(values: List[float], q: int) -> float:
@@ -406,69 +464,112 @@ def prepare(workload: str, seed: int) -> None:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
-def import_seconds(repeats: int = 3) -> float:
-    """Median cold import time of the program, in fresh interpreters."""
+def at_reference_speed(timed: Callable[[], float]) -> float:
+    """Run ``timed`` (which returns the seconds it measured) pinned to
+    the quietest CPU, and scale its seconds to reference CPU speed."""
+    before = pin_to_quietest_cpu()
+    seconds = timed()
+    return seconds * PROBE_REF_S / statistics.mean((before, probe_s()))
+
+
+def cold_import_s() -> float:
+    """Cold import time of the program, in a fresh interpreter."""
     code = (
         "import time; t = time.perf_counter(); "
         "import repro.api.runner, repro.lp.bounds, repro.service, "
         "repro.verify, scipy.optimize; "
         "print(time.perf_counter() - t)"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    samples = []
-    for _ in range(repeats):
-        done = subprocess.run(
-            [sys.executable, "-c", code], cwd=str(ROOT), env=env,
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        samples.append(float(done.stdout.strip().splitlines()[-1]))
-    return statistics.median(samples)
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=str(ROOT),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return float(done.stdout.strip().splitlines()[-1])
 
 
-def measure_setup(workload: str, seed: int, repeats: int = 3) -> float:
-    """Median cold import plus the median of ``repeats`` preparations."""
-    samples = []
-    for _ in range(repeats):
+def measure_setup(workload: str, seed: int, repeats: int = 5) -> float:
+    """Median of ``repeats`` cold imports plus the median of ``repeats``
+    preparations, each at reference CPU speed."""
+
+    def prepared_s() -> float:
         t0 = time.perf_counter()
         prepare(workload, seed)
-        samples.append(time.perf_counter() - t0)
-    return import_seconds() + statistics.median(samples)
+        return time.perf_counter() - t0
+
+    try:
+        prepares = [at_reference_speed(prepared_s) for _ in range(repeats)]
+        imports = [at_reference_speed(cold_import_s) for _ in range(repeats)]
+    finally:
+        unpin()
+    return statistics.median(imports) + statistics.median(prepares)
 
 
 def run_units(
     workload: str, seed: int, seconds: float, trace: bool
-) -> Tuple[List[Unit], Unit]:
-    """Measure input sets 0, 1, ... until ``seconds`` are used (at least
-    two sets), then repeat set 0 once to check determinism.
+) -> List[Unit]:
+    """Cycle through the workload's input sets until ``seconds`` are
+    used; a run that has not come back to set 0 by then closes with it,
+    so that every run repeats at least one set.
 
-    Traced runs measure every set untraced and then traced, so the
+    Traced runs measure each set untraced and then traced, so the
     tracing overhead compares the same inputs.
+
+    Every unit runs pinned to the quietest CPU.  Sweep times are also
+    scaled to reference CPU speed: by ``PROBE_REF_S`` over the mean probe
+    time on that CPU just before and just after the unit.  Other tenants
+    also slow both vCPUs together, by 10-15% for minutes at a time,
+    which no choice of CPU and no fastest-of-repeats within one run can
+    undo.  Service times are not scaled: a request mostly waits.
     """
     tracer = LayerTracer() if trace else None
+    sets = INPUT_SETS[workload]
     units: List[Unit] = []
-    start = time.perf_counter()
-    k = 0
-    while True:
-        units.append(run_unit(workload, seed, k))
+
+    def measure(k: int, traced: Optional[LayerTracer]) -> None:
+        before = pin_to_quietest_cpu()
+        unit = run_unit(workload, seed, k, traced)
+        if workload in SWEEPS:
+            unit.scale = PROBE_REF_S / statistics.mean((before, probe_s()))
+        units.append(unit)
+
+    def slot(k: int) -> None:
+        measure(k, None)
         if trace:
-            units.append(run_unit(workload, seed, k, tracer))
-        k += 1
+            measure(k, tracer)
+
+    start = time.perf_counter()
+    done = 0
+    while True:
+        slot(done % sets)
+        done += 1
         elapsed = time.perf_counter() - start
-        per_set = elapsed / k
-        closing = per_set / 2 if trace else per_set
-        if k >= 2 and elapsed + per_set + closing > seconds:
+        closing = elapsed / done if done <= sets else 0.0
+        if done >= 2 and elapsed * (done + 1) / done + closing > seconds:
             break
-    return units, run_unit(workload, seed, 0, tracer)
+    if done <= sets:
+        slot(0)
+    return units
 
 
-def consistency_failures(
-    units: List[Unit], repeat: Unit
-) -> Tuple[int, List[str]]:
+def fastest_per_set(units: List[Unit]) -> List[Unit]:
+    """Each input set's fastest untraced unit, in set order."""
+    best: Dict[int, Unit] = {}
+    for unit in units:
+        if not unit.traced and (
+            unit.input_set not in best
+            or unit.ref_s < best[unit.input_set].ref_s
+        ):
+            best[unit.input_set] = unit
+    return [best[k] for k in sorted(best)]
+
+
+def consistency_failures(units: List[Unit]) -> Tuple[int, List[str]]:
     """Operations in units that disagree with the first unit of their
     input set (result digest; work counters for traced units)."""
     failed, notes = 0, []
     first: Dict[Tuple[int, bool], Unit] = {}
-    for unit in units + [repeat]:
+    for unit in units:
         same_set = [u for (k, _), u in first.items() if k == unit.input_set]
         if any(u.digest != unit.digest for u in same_set):
             failed += unit.attempted
@@ -487,22 +588,31 @@ def end_to_end(
 ) -> Dict[str, dict]:
     """End-to-end metrics over the untraced units of a run.
 
-    Sweep latencies are per cell: each cell's median over the run's
-    units, then the p50/p95 over cells.  Service latencies pool every
-    fresh request of the run.
+    Throughput is the trials of all input sets over the sum of each
+    set's fastest unit.  Latencies take each cell's or fresh request's
+    fastest time over its set's runs.  Sweep latencies are per cell:
+    averaged over the sets, then the p50/p95 over cells.  Service
+    latencies pool the fresh requests of every set.  Sweep times are at
+    reference CPU speed (see :func:`run_units`).
     """
-    plain = [u for u in units if not u.traced]
+    fastest = fastest_per_set(units)
+    runs: Dict[int, List[List[float]]] = {}
+    for u in units:
+        if not u.traced:
+            runs.setdefault(u.input_set, []).append(
+                [u.scale * x for x in u.latencies_ms]
+            )
+    # Each cell or request's fastest latency over its set's runs.
+    per_set = [[min(c) for c in zip(*r)] for r in runs.values()]
     if workload in SWEEPS:
-        latencies = [
-            statistics.median(cell)
-            for cell in zip(*(u.latencies_ms for u in plain))
-        ]
+        latencies = [statistics.mean(cell) for cell in zip(*per_set)]
     else:
-        latencies = [x for u in plain for x in u.latencies_ms]
+        latencies = [x for requests in per_set for x in requests]
     return {
         "setup_s": {"value": setup_s, "unit": "s"},
         "trials_per_s": {
-            "value": statistics.median(u.trials / u.wall_s for u in plain),
+            "value": sum(u.trials for u in fastest)
+            / sum(u.ref_s for u in fastest),
             "unit": "1/s",
         },
         "solve_latency_p50_ms": {
@@ -548,7 +658,7 @@ COUNT_METRICS = (
 )
 
 
-def per_layer(units: List[Unit], repeat: Unit) -> Tuple[Dict[str, dict], List[str]]:
+def per_layer(units: List[Unit]) -> Tuple[Dict[str, dict], List[str]]:
     """Per-layer metrics of a traced run, plus attribution problems.
 
     Seconds are medians over the traced units (one per input set);
@@ -598,7 +708,7 @@ def per_layer(units: List[Unit], repeat: Unit) -> Tuple[Dict[str, dict], List[st
     )
     metrics["traced_wall_s"] = value(median_of(lambda u: u.wall_s), "s")
     # Each set ran untraced and then traced: pair them.
-    ratios = [t.wall_s / p.wall_s for p, t in zip(plain, traced)]
+    ratios = [t.ref_s / p.ref_s for p, t in zip(plain, traced)]
     metrics["trace_overhead_pct"] = value(
         100.0 * (statistics.median(ratios) - 1.0), "%"
     )
@@ -607,12 +717,11 @@ def per_layer(units: List[Unit], repeat: Unit) -> Tuple[Dict[str, dict], List[st
         rows = sum(u.layer_s.values()) + u.extra.get("service_wait_s", 0.0)
         return 100.0 * (rows - u.wall_s) / u.wall_s
 
-    checked = traced + [repeat]
-    worst_gap = max((gap(u) for u in checked), key=abs)
+    worst_gap = max((gap(u) for u in traced), key=abs)
     metrics["attribution_gap_pct"] = value(worst_gap, "%")
     if abs(worst_gap) > 2.0:
         notes.append(f"layer rows miss the wall clock by {worst_gap:.2f}%")
-    for u in checked:
+    for u in traced:
         overlap = u.extra.get("attribution_overlap_s", 0.0)
         if overlap > 0.02 * u.wall_s:
             notes.append(f"layer time overlapped a request by {overlap:.4f}s")
@@ -624,7 +733,7 @@ def per_layer(units: List[Unit], repeat: Unit) -> Tuple[Dict[str, dict], List[st
         else 0.0,
         "%",
     )
-    unbound = max(u.extra.get("unbound", 0) for u in checked)
+    unbound = max(u.extra.get("unbound", 0) for u in traced)
     if unbound:
         notes.append(f"{unbound} by-name bindings escaped the wrappers")
     return metrics, notes
@@ -642,29 +751,29 @@ def main(argv=None) -> int:
     RUN_DIR.mkdir(exist_ok=True)
     try:
         setup_s = measure_setup(args.workload, args.seed)
-        units, repeat = run_units(
+        units = run_units(
             args.workload, args.seed, args.seconds, bool(args.trace)
         )
     finally:
         shutil.rmtree(RUN_DIR, ignore_errors=True)
 
-    everything = units + [repeat]
-    attempted = sum(u.attempted for u in everything)
-    mismatched, notes = consistency_failures(units, repeat)
-    failed = min(attempted, sum(u.failed for u in everything) + mismatched)
+    attempted = sum(u.attempted for u in units)
+    mismatched, notes = consistency_failures(units)
+    failed = min(attempted, sum(u.failed for u in units) + mismatched)
     if args.trace:
-        metrics, attribution = per_layer(units, repeat)
+        metrics, attribution = per_layer(units)
         notes += attribution
     else:
         metrics = end_to_end(args.workload, units, setup_s)
     # Run summary: lets two runs of one seed be compared for identical
     # results and identical work.
+    set0 = [u for u in units if u.input_set == 0]
     print(json.dumps({
         "workload": args.workload,
         "seed": args.seed,
-        "unit_wall_s": [round(u.wall_s, 4) for u in everything],
-        "set0_digest": units[0].digest,
-        "set0_counters": dict(sorted(repeat.counters.items())) or None,
+        "unit_wall_s": [[u.input_set, round(u.wall_s, 4)] for u in units],
+        "set0_digest": set0[0].digest,
+        "set0_counters": dict(sorted(set0[-1].counters.items())) or None,
         "notes": notes,
     }, sort_keys=True))
     print(json.dumps({

@@ -22,9 +22,6 @@ Commands
     (``--metamorphic`` adds the transform harness), certify a saved
     ``SolveReport`` JSON (see ``solve --report-out``), or certify every
     record of a cached sweep store.  Exits non-zero on any violation.
-``solve-mrt TRACE`` / ``solve-art TRACE`` / ``simulate TRACE``
-    Back-compat aliases for ``solve`` with the FS-MRT / FS-ART / online
-    policy solvers.
 ``generate OUT``
     Write a Poisson/uniform trace (the paper's workload) to a file.
 ``probe-open-problem``
@@ -123,7 +120,6 @@ def _cmd_figures(args, which: str) -> int:
             resume=not args.no_cache,
             verify=args.verify,
             batch_trials=args.batch_trials,
-            no_batch=args.no_batch,
             trace=trace_arg,
         )
     except SweepInterrupted as exc:
@@ -185,44 +181,26 @@ def _load_instance(args):
         raise SystemExit(f"error: {exc}")
 
 
-def _run_on_instance(inst, solver_name: str, kind=None, params=None):
+def _run_on_instance(inst, solver_name: str, params: dict):
     """Run a registered solver on ``inst``, echoing the instance first.
 
     ``params`` is an explicit dict (not ``**kwargs``) so user-supplied
     ``-p`` names can never collide with this function's own arguments —
     every pair is forwarded to ``solve()`` verbatim.
 
-    Predictable user errors — an unknown solver name, a solver of the
-    wrong ``kind`` — exit cleanly with an ``error:`` message instead of
-    a traceback (shared by ``solve`` and its aliases).  Errors raised
-    by ``solve()`` itself propagate from here; the aliases let them
-    traceback, while ``_cmd_solve`` additionally converts
-    ValueError/TypeError (see its comment for the tradeoff).
+    An unknown solver name exits cleanly with an ``error:`` message
+    instead of a traceback.  Errors raised by ``solve()`` itself
+    propagate from here; ``_cmd_solve`` converts ValueError/TypeError
+    (see its comment for the tradeoff).
     """
-    from repro.api import get_solver, list_solvers
+    from repro.api import get_solver
 
     try:
         solver = get_solver(solver_name)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    if kind is not None and solver.kind != kind:
-        raise SystemExit(
-            f"error: {solver_name!r} has kind {solver.kind!r}, expected "
-            f"{kind!r}; available: {list_solvers(kind)}"
-        )
     print(f"instance: {inst}")  # echo before the (possibly slow) solve
-    return solver.solve(inst, **(params or {}))
-
-
-def _run_on_trace(trace_path, solver_name: str, kind=None, params=None):
-    """Back-compat shim for the ``solve`` aliases (trace input only)."""
-    from repro.workloads.trace import load_trace
-
-    try:
-        inst = load_trace(trace_path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
-    return _run_on_instance(inst, solver_name, kind=kind, params=params)
+    return solver.solve(inst, **params)
 
 
 def _cmd_solve(args) -> int:
@@ -247,8 +225,8 @@ def _cmd_solve(args) -> int:
         # wrong-instance-kind mistakes the overwhelmingly common case
         # for this command, so ValueError/TypeError from the dispatch
         # exit cleanly — accepting that a solver-internal bug of those
-        # types loses its traceback here (the aliases preserve it).
-        # SystemExit from _run_on_trace passes straight through.
+        # types loses its traceback here.  SystemExit from
+        # _run_on_instance passes straight through.
         raise SystemExit(f"error: {exc}")
     finally:
         if tracer is not None:
@@ -452,38 +430,6 @@ def _cmd_verify(args) -> int:
     else:
         print(verification.render())
     return 0 if verification.ok else 1
-
-
-def _cmd_solve_mrt(args) -> int:
-    report = _run_on_trace(args.trace, "FS-MRT")
-    max_demand = report.schedule.instance.max_demand
-    print(f"optimal (fractional) max response rho* = {report.extras['rho']}")
-    print(f"schedule extra capacity used = {report.extras['max_violation']} "
-          f"(Theorem 3 bound {2 * max_demand - 1})")
-    print(f"LP solves = {report.extras['lp_solves']}")
-    if args.out:
-        _write_assignment(report.schedule, args.out)
-    return 0
-
-
-def _cmd_solve_art(args) -> int:
-    report = _run_on_trace(args.trace, "FS-ART", params={"c": args.c})
-    print(f"total response = {report.metrics.total_response} "
-          f"(LP lower bound {report.lower_bounds['lp_total_response']:.2f})")
-    print(f"capacity blowup = {report.extras['capacity_factor']}x "
-          f"(target 1+c = {1 + args.c}x), "
-          f"window h = {report.extras['window']}")
-    if args.out:
-        _write_assignment(report.schedule, args.out)
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    report = _run_on_trace(args.trace, args.policy, kind="online")
-    print(f"policy {args.policy}: {report.metrics}")
-    if args.out:
-        _write_assignment(report.schedule, args.out)
-    return 0
 
 
 def _cmd_generate(args) -> int:
@@ -801,10 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-trials", type=_positive_int, default=None,
                        metavar="N",
                        help="cap trials merged into one structure-of-arrays "
-                            "batch (default: each cell batched whole)")
-        p.add_argument("--no-batch", action="store_true",
-                       help="run trials one at a time instead of batched "
-                            "(results are identical either way)")
+                            "batch (default: each cell batched whole; 1 runs "
+                            "one trial at a time, with identical results)")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="write a JSONL span log of the sweep (phase "
                             "table printed after the figure; export with "
@@ -812,23 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", action="store_true",
                        help="run a sampling profiler alongside the sweep "
                             "and print its hot-stack report")
-
-    p = sub.add_parser("solve-mrt",
-                       help="offline Theorem 3 solver (alias of solve)")
-    p.add_argument("trace")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("solve-art",
-                       help="offline Theorem 1 solver (alias of solve)")
-    p.add_argument("trace")
-    p.add_argument("-c", type=int, default=1, help="capacity augmentation")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("simulate",
-                       help="run an online heuristic (alias of solve)")
-    p.add_argument("trace")
-    p.add_argument("--policy", default="MaxWeight")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser(
         "generate", help="write a Poisson/uniform (or scenario) trace"
@@ -964,9 +891,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "list-solvers": _cmd_list_solvers,
     "scenarios": _cmd_scenarios,
-    "solve-mrt": _cmd_solve_mrt,
-    "solve-art": _cmd_solve_art,
-    "simulate": _cmd_simulate,
     "generate": _cmd_generate,
     "probe-open-problem": _cmd_probe,
     "serve": _cmd_serve,

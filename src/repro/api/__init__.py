@@ -48,7 +48,6 @@ from repro.api.runner import (
     WorkItem,
     plan_batches,
     run_batch,
-    run_trial,
 )
 from repro.api.store import ResultStore, open_store
 
@@ -71,7 +70,6 @@ __all__ = [
     "WorkItem",
     "BatchWorkItem",
     "TrialResult",
-    "run_trial",
     "run_batch",
     "plan_batches",
     "ResultStore",

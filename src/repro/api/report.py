@@ -112,7 +112,7 @@ class SolveReport:
         ``timings`` (the one nondeterministic field — stripping keeps
         the store content-deterministic) and the ``schedule`` (it embeds
         a full instance copy that sweeps and the solve service never
-        read back).  Shared by :func:`repro.api.runner.run_trial` and
+        read back).  Shared by :func:`repro.api.runner.run_batch` and
         the service workers so a record written by either is
         byte-identical for the same work.
         """

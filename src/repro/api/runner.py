@@ -2,11 +2,13 @@
 
 Replaces the nested loops of the legacy ``run_sweep``: a sweep is
 flattened into independent :class:`WorkItem`\\ s (one per generated
-instance), each executed by :func:`run_trial` — a pure function of the
-item, so any order-preserving executor yields byte-identical results —
-and re-aggregated into the same :class:`~repro.experiments.harness.
-CellResult` / :class:`~repro.experiments.harness.SweepResult` shapes the
-figure renderers consume.
+instance), grouped into same-cell :class:`BatchWorkItem`\\ s, each
+executed by :func:`run_batch` — a pure function of the batch, so any
+order-preserving executor and any batch size yield byte-identical
+results — and re-aggregated into the same :class:`~repro.experiments.
+harness.CellResult` / :class:`~repro.experiments.harness.SweepResult`
+shapes the figure renderers consume.  A one-item batch is the per-trial
+mode (``batch_trials=1``).
 
 Because solvers are resolved through the plugin registry, the same
 sweep machinery runs online heuristics, offline pipelines, or any
@@ -93,9 +95,9 @@ class BatchWorkItem:
 
     Items share (cell, scenario, solvers, cache settings) and differ
     only in ``trial`` — the shape :func:`plan_batches` produces — so
-    :func:`run_batch` can generate every trial's instance (per-trial
-    seeds derived exactly as :func:`run_trial` does) and hand the cache
-    misses to each solver's ``solve_batch`` in one call.
+    :func:`run_batch` can generate every trial's instance (seeds still
+    derived per trial) and hand the cache misses to each solver's
+    ``solve_batch`` in one call.
     """
 
     items: Tuple[WorkItem, ...]
@@ -148,23 +150,6 @@ def _bound_report(solver: str, lower_bounds: Dict[str, float], params: dict) -> 
     ).to_dict()
 
 
-def _report_through_store(store, solver, digest, params, compute):
-    """The stored report dict for one unit of work, or compute-and-persist.
-
-    The single cache-protocol wrapper of :func:`run_trial`: ``compute``
-    (returning a ``SolveReport``-shaped dict) only runs on a store miss —
-    or with no store at all, in which case nothing is persisted.
-    """
-    if store is not None:
-        cached = store.get(solver, digest, params)
-        if cached is not None:
-            return cached
-    record = compute()
-    if store is not None:
-        store.put(solver, digest, params, record)
-    return record
-
-
 def _certify_trial_bounds(
     trial_label: str,
     solvers: Sequence[str],
@@ -205,9 +190,8 @@ def _certify_trial_bounds(
 
 
 def _grid_seed(item: WorkItem) -> int:
-    """The single definition of grid-trial seed derivation, shared by
-    the serial and batched generation paths so they cannot diverge:
-    (config seed, M, T, trial), exactly as the legacy harness did."""
+    """The single definition of grid-trial seed derivation: (config
+    seed, M, T, trial), exactly as the legacy harness did."""
     return derive_seed(
         item.config.seed, int(round(item.arrival_mean * 1000)), item.rounds,
         item.trial,
@@ -217,9 +201,8 @@ def _grid_seed(item: WorkItem) -> int:
 def _generate_instance(item: WorkItem, timer: Timer):
     """Generate one work item's instance with its derived seed.
 
-    Shared by :func:`run_trial` and :func:`run_batch` so the two paths
-    cannot diverge: grid trials derive their seed via :func:`_grid_seed`;
-    scenario trials from (config seed, spec digest salt, trial).
+    Grid trials derive their seed via :func:`_grid_seed`; scenario
+    trials from (config seed, spec digest salt, trial).
     """
     config = item.config
     if item.scenario is not None:
@@ -247,7 +230,8 @@ def _generate_batch(items: Sequence[WorkItem], timer: Timer) -> list:
     through the single-RNG-block array path of
     :func:`~repro.workloads.synthetic.poisson_uniform_workload_batch`.
     Seeds still derive per trial via :func:`_grid_seed`, so instances
-    (flows, fids, digests) are byte-identical to serial generation.
+    (flows, fids, digests) are byte-identical to per-item
+    :func:`_generate_instance` calls.
 
     Timer events: the cell is wrapped in ``batch_generate`` for phase
     attribution, while each trial still records its own ``generate``
@@ -279,168 +263,40 @@ def _generate_batch(items: Sequence[WorkItem], timer: Timer) -> list:
     return instances
 
 
-def run_trial(item: WorkItem) -> TrialResult:
-    """Execute one work item: generate, solve with every solver, bound.
+def run_batch(batch: BatchWorkItem) -> List[TrialResult]:
+    """Execute a same-cell batch of work items: generate, solve, bound.
 
-    Deterministic: the instance seed derives from (config seed, M, T,
-    trial) exactly as the legacy harness did, so sweeps reproduce the
-    seed repo's numbers and are identical across executors.
+    All trials' instances are generated first — through the amortized
+    same-cell path of :func:`_generate_batch`; the instance seed derives
+    from (config seed, M, T, trial) exactly as the legacy harness did,
+    so sweeps reproduce the seed repo's numbers.  Then, for each solver,
+    the cache misses are solved through the solver's ``solve_batch`` —
+    one merged structure-of-arrays simulation for the batchable online
+    policies, a per-trial loop otherwise — and the fresh records are
+    persisted with **one** shard append
+    (:meth:`~repro.api.store.ResultStore.put_many`).  LP bounds and
+    ``verify`` certification run per trial.
 
-    With ``item.cache_dir`` set, each solver run and each LP bound is
-    first looked up in the on-disk result store by ``(solver, instance
+    With ``cache_dir`` set, each solver run and each LP bound is first
+    looked up in the on-disk result store by ``(solver, instance
     digest, params)`` and only computed — then persisted — on a miss.
     Instance generation always runs (the digest *is* the cache key), so
     a cache-warm trial costs one workload draw and zero solves, and the
     stored values round-trip through JSON exactly: a resumed sweep is
     byte-identical to an uninterrupted one.
-    """
-    timer = Timer()
-    instance = _generate_instance(item, timer)
-    store = None
-    digest = ""
-    if item.cache_dir is not None and instance.num_flows > 0:
-        from repro.api.store import open_store
-
-        store = open_store(item.cache_dir, read=item.use_cache)
-        digest = instance.digest()
-    avg: Dict[str, float] = {}
-    mx: Dict[str, float] = {}
-    aug: Dict[str, int] = {}
-    trial_label = (
-        f"M={item.arrival_mean} T={item.rounds} trial={item.trial}"
-    )
-    lp_avg = lp_max = None
-    if instance.num_flows > 0:
-        for name in item.solvers:
-
-            def reject_infeasible(name=name):
-                raise ValueError(
-                    f"solver {name!r} returned an infeasible report "
-                    f"(metrics=None) for sweep cell M={item.arrival_mean} "
-                    f"T={item.rounds} trial={item.trial}; sweeps require "
-                    "solvers that always produce a schedule"
-                )
-
-            computed_fresh: List[bool] = []
-
-            def run_solver(name=name, computed_fresh=computed_fresh):
-                computed_fresh.append(True)
-                with timer.measure(f"simulate:{name}"):
-                    report = get_solver(name).solve(instance)
-                if report.metrics is None:
-                    # Raise before the store.put: a rejected result must
-                    # not poison the cache for resumed runs.
-                    reject_infeasible()
-                if item.verify:
-                    # Full certification while the schedule is still in
-                    # hand; raising here also keeps a bad result out of
-                    # the cache.
-                    from repro.verify import certify_solve
-
-                    certify_solve(
-                        report, instance, subject=f"{name}@{trial_label}"
-                    ).raise_if_failed()
-                return report.to_stored_dict()
-
-            record = _report_through_store(store, name, digest, {}, run_solver)
-            metrics = record["metrics"]
-            if metrics is None:  # a poisoned record from an older store
-                reject_infeasible()
-            if item.verify and not computed_fresh:
-                # Cache hit: the schedule is gone, so certify the
-                # record-level subset (fresh solves were already fully
-                # certified inside run_solver).
-                from repro.verify import check_record
-
-                check_record(
-                    record, subject=f"{name}@{trial_label}"
-                ).raise_if_failed()
-            avg[name] = metrics["average_response"]
-            mx[name] = float(metrics["max_response"])
-            aug[name] = int(metrics["max_augmentation"])
-        if item.want_lp:
-            from repro.lp.bounds import art_lower_bound, mrt_lower_bound
-
-            horizon = instance.compact_horizon_bound()
-            avg_params = {"horizon": horizon}
-
-            def run_avg_bound():
-                with timer.measure("lp_avg_bound"):
-                    total = art_lower_bound(
-                        instance,
-                        horizon=horizon,
-                        timer=timer,
-                        use_cache=item.use_cache,
-                    )
-                return _bound_report(
-                    LP_AVG_KEY, {"lp_total_response": float(total)}, avg_params
-                )
-
-            def run_max_bound():
-                with timer.measure("lp_max_bound"):
-                    rho = float(
-                        mrt_lower_bound(
-                            instance, timer=timer, use_cache=item.use_cache
-                        )
-                    )
-                return _bound_report(LP_MAX_KEY, {"rho_star": rho}, {})
-
-            record = _report_through_store(
-                store, LP_AVG_KEY, digest, avg_params, run_avg_bound
-            )
-            lp_avg = record["lower_bounds"]["lp_total_response"] / instance.num_flows
-            record = _report_through_store(
-                store, LP_MAX_KEY, digest, {}, run_max_bound
-            )
-            lp_max = float(record["lower_bounds"]["rho_star"])
-            if item.verify:
-                _certify_trial_bounds(
-                    trial_label, item.solvers, avg, mx, aug, lp_avg, lp_max
-                )
-    return TrialResult(
-        arrival_mean=item.arrival_mean,
-        rounds=item.rounds,
-        trial=item.trial,
-        num_flows=instance.num_flows,
-        avg_response=avg,
-        max_response=mx,
-        lp_avg=lp_avg,
-        lp_max=lp_max,
-        timings=dict(timer.totals),
-        timing_counts=dict(timer.counts),
-    )
-
-
-def run_batch(batch: BatchWorkItem) -> List[TrialResult]:
-    """Execute a same-cell batch of work items as one unit.
-
-    The trial-axis sibling of :func:`run_trial`: all trials' instances
-    are generated first — through the amortized same-cell path of
-    :func:`_generate_batch`, with seeds derived identically — then for
-    each
-    solver the cache misses are solved through the solver's
-    ``solve_batch`` — one merged structure-of-arrays simulation for the
-    batchable online policies, a per-trial loop otherwise — and the
-    fresh records are persisted with **one** shard append
-    (:meth:`~repro.api.store.ResultStore.put_many`).  LP bounds and
-    ``verify`` certification stay per trial, exactly as in
-    :func:`run_trial`.
 
     Interrupt safety: any in-flight exception (including the
     ``KeyboardInterrupt`` behind :class:`~repro.api.executors.
     SweepInterrupted`) flushes every record completed so far before
-    propagating, so a killed batched sweep resumes from its finished
-    trials just like the serial path.
+    propagating, so a killed sweep resumes from its finished trials.
 
-    Equivalence contract: each returned :class:`TrialResult` matches
-    its :func:`run_trial` counterpart byte-for-byte except ``timings``/
-    ``timing_counts``, which cover the whole batch and are attached to
-    the first result only (so aggregation totals stay correct without
-    double counting).
+    Equivalence contract: each returned :class:`TrialResult` is the
+    same whatever the batch size (a one-item batch is the per-trial
+    mode) except ``timings``/``timing_counts``, which cover the whole
+    batch and are attached to the first result only (so aggregation
+    totals stay correct without double counting).
     """
     items = batch.items
-    if len(items) == 1:
-        return [run_trial(items[0])]
     head = items[0]
     n = len(items)
     timer = Timer()
@@ -636,53 +492,49 @@ def _flatten(outcome_lists):
             close()
 
 
-def _trace_branch(work) -> str:
-    """The deterministic span-ID path segment for one unit of sweep work.
+def _trace_branch(batch: BatchWorkItem) -> str:
+    """The deterministic span-ID path segment for one batch.
 
-    Grid trials encode their cell coordinates (``M8-T40-t3``), scenario
-    trials the spec's content digest (``s1a2b3c4d-T40-t3``), batches the
-    head trial plus the batch width (``...-b32``) — a pure function of
-    the work item, so the span tree is byte-identical across executors
-    and between serial and batched runs of the same sweep.
+    The head trial encodes its cell coordinates (``M8-T40-t3``) or, for
+    a scenario trial, the spec's content digest (``s1a2b3c4d-T40-t3``),
+    followed by the batch width (``...-b32``) — a pure function of the
+    batch, so the span tree is byte-identical across executors.
     """
-    if isinstance(work, BatchWorkItem):
-        return f"{_trace_branch(work.items[0])}-b{len(work.items)}"
-    if work.scenario is not None:
+    head = batch.items[0]
+    if head.scenario is not None:
         digest = hashlib.sha256(
-            json.dumps(work.scenario, sort_keys=True).encode("utf-8")
+            json.dumps(head.scenario, sort_keys=True).encode("utf-8")
         ).hexdigest()[:8]
-        return f"s{digest}-T{work.rounds}-t{work.trial}"
-    return f"M{work.arrival_mean:g}-T{work.rounds}-t{work.trial}"
+        branch = f"s{digest}-T{head.rounds}-t{head.trial}"
+    else:
+        branch = f"M{head.arrival_mean:g}-T{head.rounds}-t{head.trial}"
+    return f"{branch}-b{len(batch.items)}"
 
 
 class _TracedCall:
-    """Picklable wrapper running a work function inside its own span.
+    """Picklable wrapper running :func:`run_batch` inside its own span.
 
     This is the cross-process propagation mechanism: ``ctx`` (the
     parent's :class:`~repro.obs.spans.TraceContext`) ships with the
     callable into the executor; on the other side a fresh in-memory
-    tracer resumes that context, opens a ``trial``/``batch`` span whose
-    ID is grafted at the deterministic :func:`_trace_branch` segment,
-    and runs the work with the tracer ambient — so
+    tracer resumes that context, opens a ``batch`` span whose ID is
+    grafted at the deterministic :func:`_trace_branch` segment, and
+    runs the batch with the tracer ambient — so
     :class:`~repro.utils.timing.Timer` phases inside become child
     spans.  The collected span records return alongside the result for
     the parent to absorb into its sink (:func:`_absorb`).
     """
 
-    def __init__(self, fn, name: str, ctx: TraceContext):
-        self.fn = fn
-        self.name = name
+    def __init__(self, ctx: TraceContext):
         self.ctx = ctx
 
-    def __call__(self, work):
+    def __call__(self, batch: BatchWorkItem):
         tracer = Tracer(trace_id=self.ctx.trace_id)
         prev = activate(tracer)
         try:
             with tracer.resume(self.ctx):
-                with tracer.span(
-                    self.name, id_suffix=_trace_branch(work)
-                ):
-                    result = self.fn(work)
+                with tracer.span("batch", id_suffix=_trace_branch(batch)):
+                    result = run_batch(batch)
         finally:
             deactivate(prev)
         return result, tracer.drain()
@@ -791,13 +643,11 @@ class Runner:
         aggregating a bad cell.
     batch_trials:
         Cap on the trials grouped into one :class:`BatchWorkItem`
-        (``None``, the default, batches each cell whole).  Batched cells
-        run through :func:`run_batch`: one merged structure-of-arrays
-        simulation per (cell, solver) and one shard append per batch,
-        byte-identical to the serial path.
-    no_batch:
-        Disable trial batching entirely and map :func:`run_trial` over
-        individual items (the CLI's ``--no-batch`` escape hatch).
+        (``None``, the default, batches each cell whole; ``1`` runs one
+        trial at a time).  Every batch runs through :func:`run_batch`:
+        one merged structure-of-arrays simulation per (batch, solver)
+        and one shard append per batch, with results identical for
+        every batch size.
     trace:
         Observability: a path to a JSONL span log (the CLI's ``--trace
         FILE``), or an existing :class:`repro.obs.spans.Tracer` to emit
@@ -832,7 +682,6 @@ class Runner:
         resume: bool = True,
         verify: bool = False,
         batch_trials: Optional[int] = None,
-        no_batch: bool = False,
         trace: "Optional[str | Tracer]" = None,
         trace_id: Optional[str] = None,
     ):
@@ -845,7 +694,6 @@ class Runner:
         if batch_trials is not None and batch_trials < 1:
             raise ValueError(f"batch_trials must be >= 1, got {batch_trials}")
         self.batch_trials = batch_trials
-        self.no_batch = bool(no_batch)
         self.trace = trace
         self.trace_id = trace_id
 
@@ -877,36 +725,82 @@ class Runner:
     ):
         """An iterator of :class:`TrialResult`\\ s in item order.
 
-        Batched by default: items are grouped into per-cell
-        :class:`BatchWorkItem`\\ s and the executor schedules each batch
-        as one unit (so a multiprocessing sweep ships whole cells to
-        workers).  ``no_batch`` — or a single-trial config — maps
-        :func:`run_trial` over individual items instead.
+        Items are grouped into per-cell :class:`BatchWorkItem`\\ s and
+        the executor schedules each batch as one unit (so a
+        multiprocessing sweep ships whole cells to workers).
 
         With a ``tracer``, the work function is wrapped in
-        :class:`_TracedCall` (each item runs under its own span, nested
+        :class:`_TracedCall` (each batch runs under its own span, nested
         under the caller's open sweep span even across process
-        boundaries) and the returned spans are folded back in item
+        boundaries) and the returned spans are folded back in batch
         order.
         """
-        trials = self.config.trials
-        if self.no_batch or trials < 2:
-            fn, work = run_trial, items
-            flatten = False
-        else:
-            fn, work = run_batch, plan_batches(items, trials, self.batch_trials)
-            flatten = True
-        if tracer is not None:
-            fn = _TracedCall(
-                fn, "batch" if flatten else "trial", tracer.context()
-            )
+        fn = run_batch if tracer is None else _TracedCall(tracer.context())
+        work = plan_batches(items, self.config.trials, self.batch_trials)
         if hasattr(self.executor, "imap"):
             outcomes = self.executor.imap(fn, work)
         else:
             outcomes = iter(self.executor.map(fn, work))
         if tracer is not None:
             outcomes = _absorb(outcomes, tracer)
-        return _flatten(outcomes) if flatten else outcomes
+        return _flatten(outcomes)
+
+    def _run_cells(
+        self,
+        items: List[WorkItem],
+        cells: Sequence[Tuple[float, int]],
+        names: Tuple[str, ...],
+        trace: Tuple[str, Sequence[str], dict],
+        finish: Callable[[int, CellResult, List[TrialResult]], None],
+    ) -> None:
+        """Run a sweep's items and aggregate them cell by cell.
+
+        ``items`` hold ``config.trials`` consecutive trials per cell, in
+        ``cells`` order (each an ``(arrival_mean, rounds)`` pair);
+        ``finish(index, cell, trials)`` receives each aggregated
+        :class:`CellResult` with its trial results as soon as the cell's
+        last trial arrives, so verbose lines and ``on_cell`` fire
+        incrementally even on multi-hour sweeps.  ``trace`` is the
+        ``(kind, names, attrs)`` of the root ``sweep`` span.
+        """
+        trials = self.config.trials
+        if trials == 0:  # degenerate config: empty cells, no items
+            for index, (mean, rounds) in enumerate(cells):
+                finish(index, aggregate_cell(mean, rounds, 0, names, []), [])
+            return
+        kind, trace_names, attrs = trace
+        tracer, owned = self._open_trace(kind, trace_names)
+        prev = activate(tracer) if tracer is not None else None
+        sweep_span = (
+            tracer.open("sweep", attrs=attrs) if tracer is not None else None
+        )
+        try:
+            outcomes = self._stream_outcomes(items, tracer)
+            chunk: List[TrialResult] = []
+            index = 0
+            try:
+                for tr in outcomes:
+                    chunk.append(tr)
+                    if len(chunk) < trials:
+                        continue
+                    mean, rounds = cells[index]
+                    cell = aggregate_cell(mean, rounds, trials, names, chunk)
+                    finish(index, cell, chunk)
+                    index += 1
+                    chunk = []
+            finally:
+                # Deterministically release the executor's resources
+                # (e.g. the multiprocessing pool held open inside a
+                # suspended imap generator) if iteration stops early.
+                close = getattr(outcomes, "close", None)
+                if close is not None:
+                    close()
+        finally:
+            if tracer is not None:
+                tracer.close(sweep_span)
+                deactivate(prev)
+                if owned:
+                    tracer.finish()
 
     def cell_grid(
         self,
@@ -957,68 +851,22 @@ class Runner:
             for trial in range(config.trials)
         ]
         result = SweepResult(config)
-        if config.trials == 0:  # degenerate config: empty cells, no items
-            for mean, rounds in cells:
-                cell = aggregate_cell(mean, rounds, 0, names, [])
-                result.cells[(mean, rounds)] = cell
-                if on_cell is not None:
-                    on_cell(cell)
-            return result
 
-        tracer, owned = self._open_trace("sweep", names)
-        prev = activate(tracer) if tracer is not None else None
-        sweep_span = (
-            tracer.open(
-                "sweep",
-                attrs={
-                    "solvers": list(names),
-                    "cells": len(cells),
-                    "trials": config.trials,
-                },
-            )
-            if tracer is not None
-            else None
-        )
-        try:
-            # Stream trial outcomes (in item order) and close out each
-            # cell as soon as its last trial arrives, so verbose lines
-            # and ``on_cell`` fire incrementally even on multi-hour
-            # sweeps.
-            outcomes = self._stream_outcomes(items, tracer)
+        def finish(index: int, cell: CellResult, trials) -> None:
+            result.cells[cells[index]] = cell
+            for done in trials:
+                result.timer.merge(done.timings, done.timing_counts)
+            if on_cell is not None:
+                on_cell(cell)
+            if verbose:  # pragma: no cover - console output
+                print(format_cell_line(cell, names))
 
-            chunk: List[TrialResult] = []
-            cell_index = 0
-            try:
-                for tr in outcomes:
-                    chunk.append(tr)
-                    if len(chunk) < config.trials:
-                        continue
-                    mean, rounds = cells[cell_index]
-                    cell_index += 1
-                    cell = aggregate_cell(
-                        mean, rounds, config.trials, names, chunk
-                    )
-                    result.cells[(mean, rounds)] = cell
-                    for done in chunk:
-                        result.timer.merge(done.timings, done.timing_counts)
-                    chunk = []
-                    if on_cell is not None:
-                        on_cell(cell)
-                    if verbose:  # pragma: no cover - console output
-                        print(format_cell_line(cell, names))
-            finally:
-                # Deterministically release the executor's resources
-                # (e.g. the multiprocessing pool held open inside a
-                # suspended imap generator) if iteration stops early.
-                close = getattr(outcomes, "close", None)
-                if close is not None:
-                    close()
-        finally:
-            if tracer is not None:
-                tracer.close(sweep_span)
-                deactivate(prev)
-                if owned:
-                    tracer.finish()
+        attrs = {
+            "solvers": list(names),
+            "cells": len(cells),
+            "trials": config.trials,
+        }
+        self._run_cells(items, cells, names, ("sweep", names, attrs), finish)
         return result
 
     def run_scenarios(
@@ -1035,7 +883,7 @@ class Runner:
         ScenarioSpec` or its compact text form (``"hotspot:ports=32,
         mean=48"``); every spec gets ``config.trials`` trials with seeds
         derived from (config seed, spec digest, trial), runs through the
-        same cached :func:`run_trial` machinery as the grid sweep (so
+        same cached :func:`run_batch` machinery as the grid sweep (so
         ``cache_dir``/``resume`` work unchanged), and aggregates into
         one :class:`CellResult` keyed by the spec's label.  Specs must
         resolve to a bounded horizon (the offline/simulated solvers need
@@ -1093,58 +941,25 @@ class Runner:
             for trial in range(config.trials)
         ]
         result: Dict[str, CellResult] = {}
-        if config.trials == 0:
-            for spec, horizon in specs:
-                cell = aggregate_cell(0.0, horizon, 0, names, [])
-                result[spec.label()] = cell
-                if on_cell is not None:
-                    on_cell(cell)
-            return result
+        labels = [spec.label() for spec, _ in specs]
 
-        tracer, owned = self._open_trace(
-            "scenarios", [spec.label() for spec, _ in specs] + list(names)
+        def finish(index: int, cell: CellResult, trials) -> None:
+            result[labels[index]] = cell
+            if on_cell is not None:
+                on_cell(cell)
+            if verbose:  # pragma: no cover - console output
+                print(format_scenario_line(labels[index], cell, names))
+
+        attrs = {
+            "solvers": list(names),
+            "scenarios": labels,
+            "trials": config.trials,
+        }
+        self._run_cells(
+            items,
+            [(0.0, horizon) for _, horizon in specs],
+            names,
+            ("scenarios", labels + list(names), attrs),
+            finish,
         )
-        prev = activate(tracer) if tracer is not None else None
-        sweep_span = (
-            tracer.open(
-                "sweep",
-                attrs={
-                    "solvers": list(names),
-                    "scenarios": [spec.label() for spec, _ in specs],
-                    "trials": config.trials,
-                },
-            )
-            if tracer is not None
-            else None
-        )
-        try:
-            outcomes = self._stream_outcomes(items, tracer)
-            chunk: List[TrialResult] = []
-            spec_index = 0
-            try:
-                for tr in outcomes:
-                    chunk.append(tr)
-                    if len(chunk) < config.trials:
-                        continue
-                    spec, horizon = specs[spec_index]
-                    spec_index += 1
-                    cell = aggregate_cell(
-                        0.0, horizon, config.trials, names, chunk
-                    )
-                    result[spec.label()] = cell
-                    chunk = []
-                    if on_cell is not None:
-                        on_cell(cell)
-                    if verbose:  # pragma: no cover - console output
-                        print(format_scenario_line(spec.label(), cell, names))
-            finally:
-                close = getattr(outcomes, "close", None)
-                if close is not None:
-                    close()
-        finally:
-            if tracer is not None:
-                tracer.close(sweep_span)
-                deactivate(prev)
-                if owned:
-                    tracer.finish()
         return result

@@ -74,7 +74,7 @@ def _parse_entry(line: str) -> Optional[dict]:
 
     The single definition of line tolerance: entries must carry a
     ``key`` and a *dict* ``report`` (a null or non-dict report would
-    crash every consumer — ``run_trial`` reads ``record["metrics"]``,
+    crash every consumer — ``run_batch`` reads ``record["metrics"]``,
     the verifier reads ``record.get(...)`` — so it is garbage by
     definition).
     """

@@ -19,33 +19,20 @@ Varys.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.coflow.model import CoflowInstance
-from repro.core.flow import Flow
-from repro.core.instance import Instance
 from repro.online.policies import OnlinePolicy
-
-
-def _defining_class(cls, name):
-    """The class in ``cls``'s MRO whose ``__dict__`` defines ``name``."""
-    for klass in cls.__mro__:
-        if name in klass.__dict__:
-            return klass
-    return None
 
 
 class _CoflowOrderedPolicy(OnlinePolicy):
     """Greedy packing by a per-round co-flow priority (lower = first).
 
-    Implements both the classic dict interface and the simulator's array
-    fast path: priorities are computed vectorized over the waiting-flow
-    arrays, flows sorted with one ``np.lexsort`` on the same
-    ``(priority, cid, fid)`` key the dict path uses, and the greedy
-    packing loop runs over plain int lists — identical selections at a
-    fraction of the per-round cost on deep queues.
+    Priorities are computed vectorized over the waiting-flow arrays,
+    flows sorted with one ``np.lexsort`` on the ``(priority, cid, fid)``
+    key, and the greedy packing loop runs over plain int lists.
     """
 
     name = "coflow-ordered"
@@ -54,58 +41,15 @@ class _CoflowOrderedPolicy(OnlinePolicy):
         self._cf = cf
 
     def _coflow_priorities(
-        self, t: int, waiting: Dict[int, Flow]
-    ) -> Dict[int, float]:
-        """Return ``{cid: priority}`` for co-flows with waiting flows."""
-        raise NotImplementedError
-
-    def _coflow_priorities_fast(
         self, t: int, fids: np.ndarray, queue
     ) -> np.ndarray:
         """Priority per co-flow id (full vector; only waiting cids used)."""
         raise NotImplementedError
 
-    def select(self, t, waiting, instance):
-        priorities = self._coflow_priorities(t, waiting)
-        flows = sorted(
-            waiting.values(),
-            key=lambda f: (
-                priorities[int(self._cf.coflow_of[f.fid])],
-                int(self._cf.coflow_of[f.fid]),
-                f.fid,
-            ),
-        )
-        in_res = instance.switch.input_capacities.copy()
-        out_res = instance.switch.output_capacities.copy()
-        chosen: List[int] = []
-        for flow in flows:
-            if (
-                in_res[flow.src] >= flow.demand
-                and out_res[flow.dst] >= flow.demand
-            ):
-                in_res[flow.src] -= flow.demand
-                out_res[flow.dst] -= flow.demand
-                chosen.append(flow.fid)
-        return chosen
-
-    def select_fast(self, t, queue, instance):
-        # Fast path only when the subclass provides vectorized priorities
-        # of its own, paired with (defined by the same class as) its
-        # dict-path priorities, and left the packing loop untouched.  A
-        # subclass re-defining only `_coflow_priorities` falls back to the
-        # dict interface it customized.
-        cls = type(self)
-        if (
-            cls.select is not _CoflowOrderedPolicy.select
-            or cls._coflow_priorities_fast
-            is _CoflowOrderedPolicy._coflow_priorities_fast
-            or _defining_class(cls, "_coflow_priorities")
-            is not _defining_class(cls, "_coflow_priorities_fast")
-        ):
-            return None
+    def select(self, t, queue, instance):
         fids = queue.alive_fids()
         cids = self._cf.coflow_of[fids]
-        prio = self._coflow_priorities_fast(t, fids, queue)
+        prio = self._coflow_priorities(t, fids, queue)
         order = np.lexsort((fids, cids, prio[cids]))
         srcs = queue.srcs[fids].tolist()
         dsts = queue.dsts[fids].tolist()
@@ -134,32 +78,9 @@ class CoflowSebfPolicy(_CoflowOrderedPolicy):
 
     name = "SEBF"
 
-    def _coflow_priorities(self, t, waiting):
-        in_load: Dict[tuple[int, int], int] = {}
-        out_load: Dict[tuple[int, int], int] = {}
-        for flow in waiting.values():
-            cid = int(self._cf.coflow_of[flow.fid])
-            in_load[(cid, flow.src)] = (
-                in_load.get((cid, flow.src), 0) + flow.demand
-            )
-            out_load[(cid, flow.dst)] = (
-                out_load.get((cid, flow.dst), 0) + flow.demand
-            )
-        priorities: Dict[int, float] = {}
-        switch = self._cf.switch
-        for (cid, p), load in in_load.items():
-            val = load / switch.input_capacity(p)
-            priorities[cid] = max(priorities.get(cid, 0.0), val)
-        for (cid, q), load in out_load.items():
-            val = load / switch.output_capacity(q)
-            priorities[cid] = max(priorities.get(cid, 0.0), val)
-        return priorities
-
-    def _coflow_priorities_fast(self, t, fids, queue):
-        # Same max-over-ports of load/capacity, via two bincounts over
-        # (cid, port) keys instead of per-flow dict updates.  The maxima
-        # run over the same float values, so ties and results match the
-        # dict path exactly.
+    def _coflow_priorities(self, t, fids, queue):
+        # Max over ports of load/capacity, via two bincounts over
+        # (cid, port) keys.
         cf = self._cf
         switch = cf.switch
         n_cf = cf.num_coflows
@@ -187,15 +108,7 @@ class CoflowFifoPolicy(_CoflowOrderedPolicy):
 
     name = "CoflowFIFO"
 
-    def _coflow_priorities(self, t, waiting):
-        return {
-            int(self._cf.coflow_of[f.fid]): float(
-                self._cf.coflows[int(self._cf.coflow_of[f.fid])].release
-            )
-            for f in waiting.values()
-        }
-
-    def _coflow_priorities_fast(self, t, fids, queue):
+    def _coflow_priorities(self, t, fids, queue):
         return self._cf.releases().astype(np.float64)
 
 

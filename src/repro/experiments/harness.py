@@ -114,7 +114,6 @@ def run_scenario_sweep(
     cache_dir: Optional[str] = None,
     resume: bool = True,
     batch_trials: Optional[int] = None,
-    no_batch: bool = False,
     trace: "Optional[str | Tracer]" = None,
 ) -> Dict[str, CellResult]:
     """Sweep solvers over declarative *scenarios* instead of (M, T) cells.
@@ -137,7 +136,6 @@ def run_scenario_sweep(
         cache_dir=cache_dir,
         resume=resume,
         batch_trials=batch_trials,
-        no_batch=no_batch,
         trace=trace,
     ).run_scenarios(scenarios, solvers=solvers, verbose=verbose)
 
@@ -152,7 +150,6 @@ def run_sweep(
     resume: bool = True,
     verify: bool = False,
     batch_trials: Optional[int] = None,
-    no_batch: bool = False,
     trace: "Optional[str | Tracer]" = None,
 ) -> SweepResult:
     """Run the full Figure 6/7 sweep for ``config``.
@@ -176,11 +173,11 @@ def run_sweep(
     verify:
         Certify every trial through the :mod:`repro.verify` checkers
         (see :class:`repro.api.runner.Runner`).
-    batch_trials / no_batch:
-        Trial batching controls (see :class:`repro.api.runner.Runner`):
-        cells execute as structure-of-arrays batches by default,
-        byte-identical to the serial path; ``no_batch=True`` restores
-        the per-item loop.
+    batch_trials:
+        Cap on the trials per structure-of-arrays batch (see
+        :class:`repro.api.runner.Runner`): ``None`` batches each cell
+        whole, ``1`` runs one trial at a time; results are identical
+        either way.
     trace:
         Write a JSONL span log of the sweep to this path (see
         :mod:`repro.obs`); phase durations also feed the shared metrics
@@ -198,6 +195,5 @@ def run_sweep(
         resume=resume,
         verify=verify,
         batch_trials=batch_trials,
-        no_batch=no_batch,
         trace=trace,
     ).run(verbose=verbose)

@@ -2,9 +2,8 @@
 
 The single canonical home for metric *names* as well as values: the
 registry class (counters, gauges, fixed-bucket histograms keyed by
-``(name, sorted labels)``) moved here from ``repro.service.metrics``
-so the service, the sweep runner, and the batch kernels all feed one
-namespace.  ``repro.service.metrics`` remains as a thin re-export shim.
+``(name, sorted labels)``) lives here so the service, the sweep runner,
+and the batch kernels all feed one namespace.
 
 Three layers live here:
 
@@ -212,10 +211,6 @@ class MetricsRegistry:
                         f"{name}{_render_labels(key)} {_format_value(value)}"
                     )
             return "\n".join(lines) + "\n" if lines else ""
-
-
-#: Back-compat alias: the service grew this class; the name stuck.
-ServiceMetrics = MetricsRegistry
 
 
 def parse_metric(

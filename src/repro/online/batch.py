@@ -77,7 +77,7 @@ class _BatchView:
     """Instance-shaped view over N stacked trials.
 
     Duck-types the :class:`~repro.core.instance.Instance` surface the
-    simulator and the policy fast paths consume (``num_flows``, the four
+    simulator and the policies consume (``num_flows``, the four
     attribute vectors, ``.switch``): srcs/dsts are lifted to virtual
     ports, the switch is the per-trial switch tiled N times.
     """
@@ -390,7 +390,7 @@ def _vectorized_capacitated_pack(
     vectorized as parallel rounds of segmented prefix sums.
 
     Byte-identical to the sequential walk of
-    ``OnlinePolicy._select_packing_fast`` / the co-flow ordered packing:
+    ``OnlinePolicy._select_packing`` / the co-flow ordered packing:
     take a candidate iff both its ports still hold its demand at its
     turn.  Each round classifies every undecided candidate through
     :func:`_pack_side`: *taken* when even the most pessimistic prefix

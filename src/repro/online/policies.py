@@ -17,19 +17,16 @@ each policy falls back to a greedy weight-ordered packing of the same
 edge weights (documented extension — the paper's experiments are all
 unit-capacity).
 
-Array fast path
----------------
-Every built-in policy implements ``select_fast(t, queue, instance)``
-against the simulator's incremental :class:`~repro.online.simulator.
-FlowQueue`: weights are computed vectorized over the queue arrays, and
-the matching policies first **deduplicate parallel flows per port pair**
-(at most one copy of a pair can be matched; the kernels deterministically
-match the earliest-arrived copy), so the matching kernel runs on a graph
-bounded by ``m * m'`` edges regardless of queue depth.  The selections
-are identical to the seed's per-flow implementation — same flows, same
-rounds — the fast path only changes how they are computed.  Subclasses
-that override ``select`` or ``_weights`` automatically fall back to the
-classic dict interface (the fast path disables itself).
+Every policy implements ``select(t, queue, instance)`` against the
+simulator's incremental :class:`~repro.online.simulator.FlowQueue` and
+returns the chosen fids as an int64 array.  Weights are computed
+vectorized over the queue arrays, and the matching policies first
+**deduplicate parallel flows per port pair** (at most one copy of a pair
+can be matched; the kernels deterministically match the earliest-arrived
+copy), so the matching kernel runs on a graph bounded by ``m * m'``
+edges regardless of queue depth.  The selections are identical to the
+seed's per-flow implementation — same flows, same rounds — which
+``tests/test_simulator_equivalence.py`` keeps as the reference.
 
 ``MaxCardPolicy(warm_start=True)`` additionally carries the matched port
 pairs over to the next round and repairs them instead of re-solving from
@@ -41,17 +38,12 @@ byte-identical to the seed simulator.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.flow import Flow
 from repro.core.instance import Instance
-from repro.matching.bipartite import BipartiteMultigraph
-from repro.matching.hopcroft_karp import (
-    max_cardinality_matching,
-    max_cardinality_matching_adjacency,
-)
+from repro.matching.hopcroft_karp import max_cardinality_matching_adjacency
 from repro.matching.weight_matching import max_weight_matching
 
 
@@ -64,8 +56,6 @@ class OnlinePolicy:
     #: Instrumentation sinks bound by the simulator (optional).
     _timer = None
     _stats: Optional[Dict[str, int]] = None
-    #: Lazily cached result of :meth:`_fast_path_safe` (per instance).
-    _fast_ok: Optional[bool] = None
 
     def reset(self, instance: Instance) -> None:
         """Called once before a simulation starts."""
@@ -75,76 +65,17 @@ class OnlinePolicy:
         self._timer = timer
         self._stats = stats
 
-    def select(
-        self, t: int, waiting: Dict[int, Flow], instance: Instance
-    ) -> List[int]:
-        """Return the fids to schedule in round ``t`` (must be feasible)."""
+    def select(self, t: int, queue, instance: Instance) -> np.ndarray:
+        """Return the fids to schedule in round ``t`` (must be feasible).
+
+        ``queue`` is the simulator's :class:`~repro.online.simulator.
+        FlowQueue` of waiting flows (arrival-ordered fid arrays plus the
+        incremental pair view and per-port counts).
+        """
         raise NotImplementedError
 
-    def select_fast(
-        self, t: int, queue, instance: Instance
-    ) -> Optional[np.ndarray]:
-        """Array fast path; ``None`` defers to :meth:`select`."""
-        return None
-
     # ------------------------------------------------------------------
-    # Shared machinery (classic dict interface)
-    # ------------------------------------------------------------------
-
-    def _weights(
-        self, t: int, flows: Sequence[Flow], waiting: Dict[int, Flow]
-    ) -> np.ndarray:
-        """Edge weights for the current round (policy-specific)."""
-        raise NotImplementedError
-
-    def _select_matching(
-        self, t: int, waiting: Dict[int, Flow], instance: Instance
-    ) -> List[int]:
-        """Weight-matching selection for the unit-capacity fast path."""
-        flows = list(waiting.values())
-        weights = self._weights(t, flows, waiting)
-        edges = [(f.src, f.dst) for f in flows]
-        matching = max_weight_matching(
-            instance.switch.num_inputs,
-            instance.switch.num_outputs,
-            edges,
-            weights,
-        )
-        return [flows[eid].fid for eid in matching.values()]
-
-    def _select_packing(
-        self, t: int, waiting: Dict[int, Flow], instance: Instance
-    ) -> List[int]:
-        """Greedy weight-ordered packing for general capacities."""
-        flows = list(waiting.values())
-        weights = self._weights(t, flows, waiting)
-        order = np.argsort(-np.asarray(weights), kind="stable")
-        in_res = instance.switch.input_capacities.copy()
-        out_res = instance.switch.output_capacities.copy()
-        chosen: List[int] = []
-        for idx in order:
-            flow = flows[int(idx)]
-            if weights[int(idx)] <= 0:
-                continue
-            if in_res[flow.src] >= flow.demand and out_res[flow.dst] >= flow.demand:
-                in_res[flow.src] -= flow.demand
-                out_res[flow.dst] -= flow.demand
-                chosen.append(flow.fid)
-        return chosen
-
-    def _unit_case(self, waiting: Dict[int, Flow], instance: Instance) -> bool:
-        return instance.switch.is_unit_capacity
-
-    def select_by_weight(
-        self, t: int, waiting: Dict[int, Flow], instance: Instance
-    ) -> List[int]:
-        """Dispatch between matching (unit) and packing (general)."""
-        if self._unit_case(waiting, instance):
-            return self._select_matching(t, waiting, instance)
-        return self._select_packing(t, waiting, instance)
-
-    # ------------------------------------------------------------------
-    # Shared machinery (array fast path)
+    # Shared machinery
     # ------------------------------------------------------------------
 
     def _measure(self, name: str):
@@ -154,32 +85,10 @@ class OnlinePolicy:
         if self._stats is not None:
             self._stats[name] = self._stats.get(name, 0) + k
 
-    def _fast_path_safe(self, cls) -> bool:
-        """Fast path is valid only while the subclass didn't re-define any
-        of the classic hooks it mirrors — ``select`` / ``_weights`` of the
-        concrete policy, or the shared selection machinery
-        (``_select_packing`` / ``_select_matching`` / ``select_by_weight``
-        / ``_unit_case``).  A subclass customizing any of those gets the
-        dict interface it overrode.  Cached per instance (pure function of
-        the type)."""
-        ok = self._fast_ok
-        if ok is None:
-            t = type(self)
-            ok = (
-                t.select is cls.select
-                and t._weights is cls._weights
-                and t._select_packing is OnlinePolicy._select_packing
-                and t._select_matching is OnlinePolicy._select_matching
-                and t.select_by_weight is OnlinePolicy.select_by_weight
-                and t._unit_case is OnlinePolicy._unit_case
-            )
-            self._fast_ok = ok
-        return ok
-
-    def _weights_fast(
+    def _weights(
         self, t: int, fids: np.ndarray, queue, instance: Instance
     ) -> np.ndarray:
-        """Vectorized mirror of :meth:`_weights` over queue arrays."""
+        """Edge weights of the waiting flows ``fids`` (policy-specific)."""
         raise NotImplementedError
 
     def _pair_weights(
@@ -188,7 +97,7 @@ class OnlinePolicy:
         """Weights of the per-pair representative flows (vectorized)."""
         raise NotImplementedError
 
-    def _select_matching_fast(
+    def _select_matching(
         self, t: int, queue, instance: Instance
     ) -> np.ndarray:
         """Max-weight matching over the queue's incremental pair view.
@@ -217,12 +126,13 @@ class OnlinePolicy:
         local = np.fromiter(matching.values(), dtype=np.int64, count=len(matching))
         return heads[local]
 
-    def _select_packing_fast(
+    def _select_packing(
         self, t: int, queue, instance: Instance
     ) -> np.ndarray:
-        """Vectorized-weight greedy packing (loop only over the order)."""
+        """Greedy weight-ordered packing for general capacities
+        (vectorized weights; the loop runs only over the order)."""
         fids = queue.alive_fids()
-        w = self._weights_fast(t, fids, queue, instance)
+        w = self._weights(t, fids, queue, instance)
         order = np.argsort(-w, kind="stable")
         srcs = queue.srcs[fids].tolist()
         dsts = queue.dsts[fids].tolist()
@@ -242,12 +152,13 @@ class OnlinePolicy:
                 chosen.append(fid_list[idx])
         return np.asarray(chosen, dtype=np.int64)
 
-    def _select_by_weight_fast(
+    def _select_by_weight(
         self, t: int, queue, instance: Instance
     ) -> np.ndarray:
+        """Dispatch between matching (unit) and packing (general)."""
         if queue.unit_capacity:
-            return self._select_matching_fast(t, queue, instance)
-        return self._select_packing_fast(t, queue, instance)
+            return self._select_matching(t, queue, instance)
+        return self._select_packing(t, queue, instance)
 
 
 class MaxCardPolicy(OnlinePolicy):
@@ -273,28 +184,10 @@ class MaxCardPolicy(OnlinePolicy):
     def reset(self, instance: Instance) -> None:
         self._prev_pairs = {}
 
-    def select(
-        self, t: int, waiting: Dict[int, Flow], instance: Instance
-    ) -> List[int]:
-        if not instance.switch.is_unit_capacity:
-            # Packing with unit weights greedily keeps ports busy.
-            return self._select_packing(t, waiting, instance)
-        flows = list(waiting.values())
-        graph = BipartiteMultigraph(
-            instance.switch.num_inputs, instance.switch.num_outputs
-        )
-        for f in flows:
-            graph.add_edge(f.src, f.dst, payload=f.fid)
-        matching = max_cardinality_matching(graph)
-        return [graph.payloads[eid] for eid in matching.values()]
-
-    def select_fast(
-        self, t: int, queue, instance: Instance
-    ) -> Optional[np.ndarray]:
-        if not self._fast_path_safe(MaxCardPolicy):
-            return None
+    def select(self, t, queue, instance):
         if not queue.unit_capacity:
-            return self._select_packing_fast(t, queue, instance)
+            # Packing with unit weights greedily keeps ports busy.
+            return self._select_packing(t, queue, instance)
         adj_rows, head_rows = queue.pair_adjacency()
         warm = None
         if self.warm_start and self._prev_pairs:
@@ -321,10 +214,7 @@ class MaxCardPolicy(OnlinePolicy):
             )
         return chosen
 
-    def _weights(self, t, flows, waiting):
-        return np.ones(len(flows))
-
-    def _weights_fast(self, t, fids, queue, instance):
+    def _weights(self, t, fids, queue, instance):
         return np.ones(fids.size)
 
 
@@ -340,18 +230,10 @@ class MinRTimePolicy(OnlinePolicy):
 
     name = "MinRTime"
 
-    def select(self, t, waiting, instance):
-        return self.select_by_weight(t, waiting, instance)
+    def select(self, t, queue, instance):
+        return self._select_by_weight(t, queue, instance)
 
-    def select_fast(self, t, queue, instance):
-        if not self._fast_path_safe(MinRTimePolicy):
-            return None
-        return self._select_by_weight_fast(t, queue, instance)
-
-    def _weights(self, t, flows, waiting):
-        return np.asarray([t - f.release + 1 for f in flows], dtype=np.float64)
-
-    def _weights_fast(self, t, fids, queue, instance):
+    def _weights(self, t, fids, queue, instance):
         return (t - queue.releases[fids] + 1).astype(np.float64)
 
     def _pair_weights(self, t, heads, queue, instance):
@@ -366,26 +248,10 @@ class MaxWeightPolicy(OnlinePolicy):
 
     name = "MaxWeight"
 
-    def select(self, t, waiting, instance):
-        return self.select_by_weight(t, waiting, instance)
+    def select(self, t, queue, instance):
+        return self._select_by_weight(t, queue, instance)
 
-    def select_fast(self, t, queue, instance):
-        if not self._fast_path_safe(MaxWeightPolicy):
-            return None
-        return self._select_by_weight_fast(t, queue, instance)
-
-    def _weights(self, t, flows, waiting):
-        in_queue = np.zeros(max(f.src for f in flows) + 1, dtype=np.int64)
-        out_queue = np.zeros(max(f.dst for f in flows) + 1, dtype=np.int64)
-        for f in flows:
-            in_queue[f.src] += 1
-            out_queue[f.dst] += 1
-        return np.asarray(
-            [in_queue[f.src] + out_queue[f.dst] for f in flows],
-            dtype=np.float64,
-        )
-
-    def _weights_fast(self, t, fids, queue, instance):
+    def _weights(self, t, fids, queue, instance):
         us = queue.srcs[fids]
         vs = queue.dsts[fids]
         return (np.bincount(us)[us] + np.bincount(vs)[vs]).astype(np.float64)
@@ -416,21 +282,12 @@ class RandomPolicy(OnlinePolicy):
     def reset(self, instance: Instance) -> None:
         self._rng = np.random.default_rng(self._seed)
 
-    def select(self, t, waiting, instance):
-        return self._select_packing(t, waiting, instance)
+    def select(self, t, queue, instance):
+        return self._select_packing(t, queue, instance)
 
-    def select_fast(self, t, queue, instance):
-        if not self._fast_path_safe(RandomPolicy):
-            return None
-        return self._select_packing_fast(t, queue, instance)
-
-    def _weights(self, t, flows, waiting):
+    def _weights(self, t, fids, queue, instance):
         # Random priorities in (0, 1]; packing keeps the result maximal.
-        return self._rng.random(len(flows)) + 1e-9
-
-    def _weights_fast(self, t, fids, queue, instance):
-        # Same draw shape and order as the classic path: one vector of
-        # len(waiting) uniforms per round.
+        # One vector of len(waiting) uniforms per round.
         return self._rng.random(fids.size) + 1e-9
 
 
@@ -439,19 +296,11 @@ class FifoPolicy(OnlinePolicy):
 
     name = "FIFO"
 
-    def select(self, t, waiting, instance):
-        return self._select_packing(t, waiting, instance)
+    def select(self, t, queue, instance):
+        return self._select_packing(t, queue, instance)
 
-    def select_fast(self, t, queue, instance):
-        if not self._fast_path_safe(FifoPolicy):
-            return None
-        return self._select_packing_fast(t, queue, instance)
-
-    def _weights(self, t, flows, waiting):
+    def _weights(self, t, fids, queue, instance):
         # Older flows get strictly larger weight; +1 keeps weights positive.
-        return np.asarray([t - f.release + 1 for f in flows], dtype=np.float64)
-
-    def _weights_fast(self, t, fids, queue, instance):
         return (t - queue.releases[fids] + 1).astype(np.float64)
 
 

@@ -22,10 +22,8 @@ consume directly:
 * **per-port waiting counts**, updated by ``np.bincount`` on arrivals and
   removals (MaxWeight's edge weights).
 
-Policies that implement the array fast path (``select_fast``) read these
-structures; policies that only implement the classic ``select(t, waiting,
-instance)`` interface receive a waiting-flow dict materialized on demand
-(same insertion order as the seed's).
+Policies read these structures through ``select(t, queue, instance)``
+and return the chosen fids as an array.
 
 The engine enforces feasibility (capacity and release constraints) on
 whatever the policy returns — now with one ``np.bincount`` per side
@@ -368,7 +366,7 @@ class StreamFlowQueue(FlowQueue):
     actual ratio).
 
     Local fids are arrival-ordered, exactly like materialized fids, so
-    the policy fast paths (which tie-break by fid) select the same
+    the policies (which tie-break by fid) select the same
     flows as the offline simulator; ``global_offset`` maps a local fid
     back to the stream-global one (``global = local + offset``).
     """
@@ -446,7 +444,7 @@ class StreamFlowQueue(FlowQueue):
 
         Callers pass the returned fids straight to :meth:`arrive` (the
         two steps stay separate so this class remains a drop-in
-        :class:`FlowQueue` for the policy fast paths).
+        :class:`FlowQueue` for the policies).
         """
         k = int(srcs.size)
         if k == 0:
@@ -625,13 +623,11 @@ def simulate(
         for r, s, e in zip(uniq_rounds.tolist(), starts.tolist(), ends.tolist())
     }
 
-    flows = instance.flows
     assignment = np.full(n, -1, dtype=np.int64)
     scheduled_count = 0
     queue_history: List[int] = []
 
     policy.reset(instance)
-    select_fast = getattr(policy, "select_fast", None)
 
     t = 0
     while scheduled_count < n:
@@ -646,16 +642,7 @@ def simulate(
             queue.arrive(arriving)
         queue_history.append(queue.n_alive)
         if queue.n_alive:
-            chosen = None
-            if select_fast is not None:
-                chosen = select_fast(t, queue, instance)
-            if chosen is None:
-                # Legacy dict interface: materialize the waiting dict in
-                # arrival order (the seed's insertion order).
-                waiting = {
-                    fid: flows[fid] for fid in queue.alive_fids().tolist()
-                }
-                chosen = policy.select(t, waiting, instance)
+            chosen = policy.select(t, queue, instance)
             if not isinstance(chosen, np.ndarray):
                 chosen = np.asarray(list(chosen), dtype=np.int64)
             _check_feasible(chosen, queue, instance.switch, policy.name, t)
@@ -884,8 +871,8 @@ def simulate_stream(
         The arrival source.  Batches after ``arrival_rounds`` (or the
         stream's own bound) are not consumed.
     policy:
-        Any :class:`~repro.online.policies.OnlinePolicy`; built-in
-        policies run their array fast paths unchanged.
+        Any :class:`~repro.online.policies.OnlinePolicy`; it sees the
+        same queue interface as under :func:`simulate`.
     arrival_rounds:
         How many arrival rounds to consume; defaults to the stream's
         ``rounds`` bound.  An unbounded stream requires it.
@@ -933,7 +920,6 @@ def simulate_stream(
     if bind is not None:
         bind(timer, stats)
     policy.reset(view)
-    select_fast = getattr(policy, "select_fast", None)
 
     it = iter(stream)
     exhausted = False
@@ -946,10 +932,6 @@ def simulate_stream(
     assigned: Dict[int, int] = {}
     history: List[int] = []
     drain_deadline: Optional[int] = None
-    # Legacy-dict fallback support: Flow objects per *global* fid, built
-    # once per flow and dropped when it schedules (stays O(active)).
-    flow_cache: Dict[int, "Flow"] = {}
-    from repro.core.flow import Flow
 
     while True:
         # Timer window matches simulate(): arrival ingestion (incl.
@@ -991,29 +973,7 @@ def simulate_stream(
         if record_queue_history:
             history.append(queue.n_alive)
         if queue.n_alive:
-            chosen = None
-            if select_fast is not None:
-                chosen = select_fast(t, queue, view)
-            if chosen is None:
-                # Legacy dict interface: materialize the waiting dict in
-                # arrival order from the queue's window arrays, reusing
-                # cached Flow objects (rebuilt only when a rebase shifted
-                # the flow's local fid — policies read ``f.fid``).
-                offset = queue.global_offset
-                waiting = {}
-                for fid in queue.alive_fids().tolist():
-                    flow = flow_cache.get(fid + offset)
-                    if flow is None or flow.fid != fid:
-                        flow = Flow(
-                            int(queue.srcs[fid]),
-                            int(queue.dsts[fid]),
-                            int(queue.demands[fid]),
-                            int(queue.releases[fid]),
-                            fid,
-                        )
-                        flow_cache[fid + offset] = flow
-                    waiting[fid] = flow
-                chosen = policy.select(t, waiting, view)
+            chosen = policy.select(t, queue, view)
             if not isinstance(chosen, np.ndarray):
                 chosen = np.asarray(list(chosen), dtype=np.int64)
             _check_feasible(chosen, queue, switch, policy.name, t)
@@ -1024,13 +984,10 @@ def simulate_stream(
                 if peak > max_resp:
                     max_resp = peak
                 makespan = t + 1
-                offset = queue.global_offset
                 if record_schedule:
+                    offset = queue.global_offset
                     for fid in chosen.tolist():
                         assigned[fid + offset] = t
-                if flow_cache:
-                    for fid in chosen.tolist():
-                        flow_cache.pop(fid + offset, None)
                 queue.remove(chosen)
         if timer is not None:
             timer.add("sim_round", time.perf_counter() - round_start)

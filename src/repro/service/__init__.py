@@ -16,8 +16,8 @@ digest-batching solve endpoint:
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — the
   asyncio HTTP front-end and the blocking client behind
   ``repro submit``.
-* :mod:`~repro.service.metrics` — Prometheus-text counters, gauges,
-  and latency histograms served on ``GET /metrics``.
+* :mod:`repro.obs.metrics` (re-exported here) — Prometheus-text
+  counters, gauges, and latency histograms served on ``GET /metrics``.
 
 >>> from repro.service import ServiceThread, ServiceClient
 >>> with ServiceThread(cache_dir, workers=2, worker_mode="thread") as svc:
@@ -27,8 +27,8 @@ digest-batching solve endpoint:
 
 from repro.service.broker import BrokerConfig, SolveBroker
 from repro.service.client import ServiceClient, ServiceError
+from repro.obs.metrics import MetricsRegistry, parse_metric
 from repro.service.jobs import Job, JobQueue
-from repro.service.metrics import ServiceMetrics, parse_metric
 from repro.service.protocol import (
     ERROR_STATUS,
     PROTOCOL_VERSION,
@@ -48,7 +48,7 @@ __all__ = [
     "ServiceError",
     "Job",
     "JobQueue",
-    "ServiceMetrics",
+    "MetricsRegistry",
     "parse_metric",
     "ERROR_STATUS",
     "PROTOCOL_VERSION",

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.api.store import ResultStore, canonical_key
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Tracer, new_trace_id
 from repro.service.jobs import Job, JobQueue
-from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     ProtocolError,
     SolveRequest,
@@ -90,12 +90,12 @@ class SolveBroker:
         self,
         cache_dir: "str",
         config: Optional[BrokerConfig] = None,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.cache_dir = str(cache_dir)
         self.config = config or BrokerConfig()
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = metrics or MetricsRegistry()
         # Span collection is explicit (``Tracer.emit``) rather than
         # ambient: concurrent requests interleave on one event-loop
         # thread, so a thread-local span stack would mis-nest them.

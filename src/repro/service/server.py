@@ -34,8 +34,8 @@ import threading
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.obs.metrics import MetricsRegistry
 from repro.service.broker import BrokerConfig, SolveBroker
-from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     ERROR_STATUS,
     ProtocolError,
@@ -66,14 +66,14 @@ class SolveService:
         host: str = "127.0.0.1",
         port: int = 0,
         config: Optional[BrokerConfig] = None,
-        metrics: Optional[ServiceMetrics] = None,
+        metrics: Optional[MetricsRegistry] = None,
         workers: int = 0,
         worker_mode: str = "process",
         trace: Optional[str] = None,
     ):
         self.host = host
         self.port = port  # rebound to the real port once listening
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = metrics or MetricsRegistry()
         self._tracer = None
         if trace is not None:
             from repro.obs.export import JsonlSink

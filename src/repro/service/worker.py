@@ -39,7 +39,7 @@ def default_owner() -> str:
 def execute_job(job: Job, store) -> dict:
     """Run one claimed job to a done-marker outcome payload.
 
-    Mirrors the sweep's :func:`repro.api.runner.run_trial` contract
+    Mirrors the sweep's :func:`repro.api.runner.run_batch` contract
     exactly: the stored record is the schedule- and timing-stripped
     :meth:`~repro.api.report.SolveReport.to_stored_dict` payload, and
     with ``job.verify`` the fresh report is certified

@@ -74,7 +74,7 @@ def certify_solve(solve_report, instance, subject: str = ""):
     release/capacity/conservation/metrics checks merged with the
     LP-certificate bound checks (``recompute=False``: the claimed
     bounds are certified against the achieved objectives, not re-solved).
-    Shared by :func:`repro.api.runner.run_trial` and the solve service's
+    Shared by :func:`repro.api.runner.run_batch` and the solve service's
     workers (:mod:`repro.service.worker`) so both certify identically.
     Returns the merged :class:`VerificationReport`; callers decide
     whether to ``raise_if_failed``.

@@ -560,7 +560,7 @@ def check_record(
         # Bound pseudo-records never carry metrics, and an explicit
         # infeasibility certificate (extras["feasible"] == False) is a
         # legitimate schedule-less outcome.  Anything else is a poisoned
-        # entry: run_trial refuses to serve it, so the store verifier
+        # entry: run_batch refuses to serve it, so the store verifier
         # must not certify it.
         feasible = (record.get("extras") or {}).get("feasible")
         if record.get("kind") != "bound" and feasible is not False:

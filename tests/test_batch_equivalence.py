@@ -285,8 +285,8 @@ class TestFallbacks:
         class LimitedFifo(FifoPolicy):
             name = "LimitedFifo"
 
-            def _select_packing(self, t, waiting, instance):
-                return super()._select_packing(t, waiting, instance)[:1]
+            def select(self, t, queue, instance):
+                return super().select(t, queue, instance)[:1]
 
         inst = Instance.create(
             Switch.create(4), [Flow(i, i, 1, 0) for i in range(4)]

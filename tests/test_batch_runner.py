@@ -3,10 +3,10 @@
 The kernel-level byte-identity contract lives in
 ``test_batch_equivalence.py``; this module covers the orchestration
 layers above it — batch planning, the bulk store protocol, the
-``run_batch``-vs-``run_trial`` equivalence across every registered
-scenario and online policy (fallback policies included), the Runner
-wiring, and the ``SweepInterrupted`` flush-and-resume promise for
-batched multiprocessing sweeps.
+whole-batch-vs-one-item-batches equivalence of ``run_batch`` across
+every registered scenario and online policy (fallback policies
+included), the Runner wiring, and the ``SweepInterrupted``
+flush-and-resume promise for batched multiprocessing sweeps.
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from repro.api.runner import (
     WorkItem,
     plan_batches,
     run_batch,
-    run_trial,
 )
 from repro.api.store import ResultStore, close_open_stores
 from repro.experiments.config import ExperimentConfig
@@ -80,6 +79,11 @@ def result_payload(tr):
     payload.pop("timings")
     payload.pop("timing_counts")
     return payload
+
+
+def run_each(items):
+    """The per-trial mode: every item as its own one-item batch."""
+    return [tr for item in items for tr in run_batch(BatchWorkItem((item,)))]
 
 
 def store_lines(cache_dir) -> set:
@@ -184,8 +188,8 @@ class TestRunBatchEquivalence:
     def test_scenario_batch_matches_serial_trials(self, scenario):
         """Satellite contract: for every registered scenario, a batched
         cell of 8 trials over every online policy (merged kernels and
-        per-trial fallbacks alike) equals 8 serial ``run_trial`` calls
-        byte for byte, excluding the batch-scoped timings."""
+        per-trial fallbacks alike) equals 8 one-item batches byte for
+        byte, excluding the batch-scoped timings."""
         spec = parse_scenario(f"{scenario}:ports=8,horizon=10")
         config = tiny_config(trials=8, num_ports=8)
         items = cell_items(
@@ -195,7 +199,7 @@ class TestRunBatchEquivalence:
             rounds=10,
             scenario=spec.to_dict(),
         )
-        serial = [run_trial(item) for item in items]
+        serial = run_each(items)
         batched = run_batch(BatchWorkItem(tuple(items)))
         assert [result_payload(tr) for tr in batched] == [
             result_payload(tr) for tr in serial
@@ -219,7 +223,7 @@ class TestRunBatchEquivalence:
             dataclasses.replace(item, cache_dir=str(tmp_path / "batched"))
             for item in serial_items
         ]
-        serial = [run_trial(item) for item in serial_items]
+        serial = run_each(serial_items)
         close_open_stores()
         clear_bound_caches()
         batched = run_batch(BatchWorkItem(tuple(batch_items)))
@@ -245,20 +249,12 @@ class TestRunBatchEquivalence:
         warm = run_batch(BatchWorkItem(tuple(items)))
         assert warm[0].timing_counts.get("simulate:FIFO", 0) == 0
 
-    def test_single_item_batch_delegates_to_run_trial(self):
-        config = tiny_config(trials=1)
-        item = cell_items(config, ("FIFO",), trials=1)[0]
-        batched = run_batch(BatchWorkItem((item,)))
-        assert [result_payload(tr) for tr in batched] == [
-            result_payload(run_trial(item))
-        ]
-
 
 class TestRunnerBatchWiring:
     def test_batched_sweep_equals_no_batch(self):
         config = tiny_config(trials=3, load_ratios=(0.5, 1.5))
         batched = Runner(config).run()
-        serial = Runner(config, no_batch=True).run()
+        serial = Runner(config, batch_trials=1).run()  # unbatched
         assert batched.cells == serial.cells
 
     def test_batch_trials_cap_preserves_results(self):
@@ -279,7 +275,7 @@ class TestRunnerBatchWiring:
         config = tiny_config(trials=3)
         specs = ["paper-default:ports=8,horizon=8"]
         batched = Runner(config).run_scenarios(specs, solvers=["FIFO"])
-        serial = Runner(config, no_batch=True).run_scenarios(
+        serial = Runner(config, batch_trials=1).run_scenarios(  # unbatched
             specs, solvers=["FIFO"]
         )
         assert batched == serial
@@ -351,19 +347,15 @@ class TestInterruptedBatchedSweep:
             assert json.loads(line)["solver"] == "test-batch-interrupt"
 
         # Resuming serves the flushed trials from disk and recomputes
-        # only the rest — converging to an uninterrupted run's store.
+        # only the rest — converging to an uninterrupted per-trial run's
+        # store.
         (ctrl / "armed").unlink()
         close_open_stores()
         resumed = run_batch(BatchWorkItem(tuple(items)))
         full = tmp_path / "full"
         close_open_stores()
-        uninterrupted = run_batch(
-            BatchWorkItem(
-                tuple(
-                    dataclasses.replace(item, cache_dir=str(full))
-                    for item in items
-                )
-            )
+        uninterrupted = run_each(
+            [dataclasses.replace(item, cache_dir=str(full)) for item in items]
         )
         assert [result_payload(tr) for tr in resumed] == [
             result_payload(tr) for tr in uninterrupted

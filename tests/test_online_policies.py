@@ -16,7 +16,7 @@ from repro.online.policies import (
     MinRTimePolicy,
     make_policy,
 )
-from repro.online.simulator import simulate
+from repro.online.simulator import FlowQueue, simulate
 from tests.conftest import capacitated_instances, unit_instances
 
 
@@ -91,12 +91,13 @@ class TestMaxWeight:
         ]
         inst = Instance.create(Switch.create(4, 2), flows)
         policy = MaxWeightPolicy()
-        waiting = {f.fid: f for f in inst.flows}
-        chosen = policy.select(0, waiting, inst)
+        queue = FlowQueue(inst)
+        queue.arrive(np.arange(inst.num_flows, dtype=np.int64))
+        chosen = policy.select(0, queue, inst)
         # Round 0 matching must include an edge into output 0 with the
         # heaviest combined queues; verify feasibility + nonempty.
-        assert chosen
-        srcs = [inst.flows[f].src for f in chosen]
+        assert chosen.size
+        srcs = [inst.flows[f].src for f in chosen.tolist()]
         assert len(set(srcs)) == len(srcs)
 
 

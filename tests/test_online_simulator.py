@@ -18,8 +18,8 @@ class GreedyBadPolicy(OnlinePolicy):
 
     name = "Bad"
 
-    def select(self, t, waiting, instance):
-        return list(waiting)
+    def select(self, t, queue, instance):
+        return queue.alive_fids()
 
 
 class LazyPolicy(OnlinePolicy):
@@ -27,8 +27,8 @@ class LazyPolicy(OnlinePolicy):
 
     name = "Lazy"
 
-    def select(self, t, waiting, instance):
-        return []
+    def select(self, t, queue, instance):
+        return np.empty(0, dtype=np.int64)
 
 
 class DoubleDipPolicy(OnlinePolicy):
@@ -36,9 +36,9 @@ class DoubleDipPolicy(OnlinePolicy):
 
     name = "Dup"
 
-    def select(self, t, waiting, instance):
-        fid = next(iter(waiting))
-        return [fid, fid]
+    def select(self, t, queue, instance):
+        fid = queue.alive_fids()[0]
+        return np.asarray([fid, fid], dtype=np.int64)
 
 
 class TestEngine:
@@ -80,9 +80,9 @@ class TestEngine:
         class CountingLazyPolicy(OnlinePolicy):
             name = "CountingLazy"
 
-            def select(self, t, waiting, instance):
+            def select(self, t, queue, instance):
                 calls.append(t)
-                return []
+                return np.empty(0, dtype=np.int64)
 
         with pytest.raises(RuntimeError, match="exceeded 5 rounds"):
             simulate(inst, CountingLazyPolicy(), max_rounds=5)

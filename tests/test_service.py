@@ -23,10 +23,10 @@ from repro.service import (
     BrokerConfig,
     Job,
     JobQueue,
+    MetricsRegistry,
     ProtocolError,
     ServiceClient,
     ServiceError,
-    ServiceMetrics,
     ServiceThread,
     SolveRequest,
     SolveResponse,
@@ -116,7 +116,7 @@ class TestProtocol:
 
 class TestMetrics:
     def test_counter_gauge_histogram_render_parse(self):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         m.counter("a_total", help="a", solver="G")
         m.counter("a_total", solver="G")
         m.gauge("depth", 3, help="d")
@@ -133,14 +133,14 @@ class TestMetrics:
         assert parse_metric(text, "nope") is None
 
     def test_label_escaping(self):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         m.counter("e_total", kind='we"ird\nname')
         text = m.render()
         assert '\\"' in text and "\\n" in text
         assert parse_metric(text, "e_total", kind='we"ird\nname') == 1
 
     def test_value_reads_back(self):
-        m = ServiceMetrics()
+        m = MetricsRegistry()
         m.counter("c_total", amount=4)
         assert m.value("c_total") == 4
         assert m.value("untouched") == 0.0
@@ -488,8 +488,21 @@ class TestAdmissionAndTimeouts:
             poll_interval=0.005,
         )
         with pool:
+            # Wait on GET /result (the path the 504 advertises) until the
+            # late worker has stored the record.  A resubmission sent
+            # while the key is still pending would be coalesced onto it.
+            deadline = time.time() + 30
+            while True:
+                try:
+                    stored = client.result(inst.digest(), "Greedy")
+                    break
+                except ServiceError as exc:
+                    assert exc.code == "not-found", exc
+                    assert time.time() < deadline, "late worker never stored"
+                    time.sleep(0.01)
             response = client.solve("Greedy", instance=inst, timeout=30)
-        assert response.ok and response.source in ("cache", "solved")
+        assert stored.ok
+        assert response.ok and response.source == "cache"
 
     def test_solver_cap_rejects_with_retry_after(self, stalled):
         client = ServiceClient(stalled.address, timeout=60.0)

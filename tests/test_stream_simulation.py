@@ -78,23 +78,26 @@ class TestEquivalence:
         )
         assert np.array_equal(offline.schedule.assignment, streamed.assignment)
 
-    def test_legacy_dict_policy_goes_through_stream(self):
-        """A subclass without the array fast path falls back to the
-        dict interface and still matches its materialized run."""
+    def test_custom_policy_goes_through_stream(self):
+        """A policy outside the registry (no merged kernel, plain loop
+        over the queue arrays) still matches its materialized run."""
 
         class OldestFirst(OnlinePolicy):
             name = "OldestFirst"
 
-            def select(self, t, waiting, instance):
+            def select(self, t, queue, instance):
                 in_res = instance.switch.input_capacities.copy()
                 out_res = instance.switch.output_capacities.copy()
                 chosen = []
-                for fid, f in waiting.items():
-                    if in_res[f.src] >= f.demand and out_res[f.dst] >= f.demand:
-                        in_res[f.src] -= f.demand
-                        out_res[f.dst] -= f.demand
+                for fid in queue.alive_fids().tolist():
+                    s = queue.srcs[fid]
+                    d = queue.dsts[fid]
+                    dem = queue.demands[fid]
+                    if in_res[s] >= dem and out_res[d] >= dem:
+                        in_res[s] -= dem
+                        out_res[d] -= dem
                         chosen.append(fid)
-                return chosen
+                return np.asarray(chosen, dtype=np.int64)
 
         stream = build_stream("paper-default:ports=8,mean=5,horizon=30", seed=3)
         offline = simulate(stream.materialize(), OldestFirst())
@@ -222,12 +225,10 @@ class TestStreamFlowQueueInternals:
         class Overloader(OnlinePolicy):
             name = "Overloader"
 
-            def select(self, t, waiting, instance):
+            def select(self, t, queue, instance):
                 # Two flows into the same output port.
-                fids = [
-                    fid for fid, f in waiting.items() if f.dst == 0
-                ][:2]
-                return fids
+                fids = queue.alive_fids()
+                return fids[queue.dsts[fids] == 0][:2]
 
         switch = Switch.create(4)
 

@@ -309,7 +309,7 @@ class TestCheckRecord:
         assert check_record(record).ok
 
     def test_poisoned_metrics_none_record_flagged(self):
-        # Regression: a metrics=None offline record (what run_trial
+        # Regression: a metrics=None offline record (what run_batch
         # rejects as a poisoned store entry) must not certify clean.
         record = SolveReport(
             solver="Greedy", kind="offline", metrics=None

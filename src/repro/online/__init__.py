@@ -14,11 +14,7 @@
   Figure 4 (Lemmas 5.1 and 5.2).
 """
 
-from repro.online.batch import (
-    BatchFlowQueue,
-    batch_kernel_name,
-    simulate_batch,
-)
+from repro.online.batch import batch_kernel_name, simulate_batch
 from repro.online.simulator import (
     FlowQueue,
     SimulationResult,
@@ -55,7 +51,6 @@ __all__ = [
     "simulate_batch",
     "simulate_stream",
     "batch_kernel_name",
-    "BatchFlowQueue",
     "SimulationResult",
     "StreamSimulationResult",
     "FlowQueue",

@@ -276,6 +276,7 @@ def run_amrt_stream(
         analogue of ``horizon_bound()``).
     """
     from repro.core.flow import Flow
+    from repro.scenarios.stream import _check_batch
 
     switch = stream.switch
     limit = arrival_rounds
@@ -297,10 +298,11 @@ def run_amrt_stream(
         nonlocal next_round, exhausted, arrived
         while not exhausted and next_round <= boundary:
             try:
-                srcs, dsts, demands = next(it)
+                batch = next(it)
             except StopIteration:
                 exhausted = True
                 return
+            srcs, dsts, demands = _check_batch(batch, next_round)
             for i in range(len(srcs)):
                 pending.append(
                     Flow(int(srcs[i]), int(dsts[i]), int(demands[i]),

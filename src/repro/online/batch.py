@@ -21,6 +21,14 @@ executes a cell as **one** merged simulation via virtual-port stacking:
   Hopcroft–Karp ``bfs_phases`` / ``augmentations`` / ``matching_solves``
   diagnostics, which the stacked solve attributes per trial).
 
+The merged run goes through the same round loop as a solo run
+(:func:`repro.online.simulator._run_rounds`) over a plain
+:class:`~repro.online.simulator.FlowQueue` of the stacked trials.  This
+module supplies only what differs: the stacked arrival rounds, per-trial
+round limits, the merged selection kernel, and a per-round record of
+per-trial *shadow counters* (queue depth, compactions, matching solves,
+drain round) that reproduce each solo run's history and stats.
+
 Batched fast paths exist for FIFO, Random, MaxCard (cold or warm start,
 uniform across the batch) and the co-flow SEBF/CoflowFIFO orderings on
 any switch, plus MinRTime/MaxWeight on non-unit switches (their unit
@@ -68,7 +76,8 @@ from repro.online.policies import (
 from repro.online.simulator import (
     FlowQueue,
     SimulationResult,
-    _check_feasible,
+    _arrival_rounds,
+    _run_rounds,
     simulate,
 )
 
@@ -136,36 +145,6 @@ class _BatchView:
         return self._releases
 
 
-class BatchFlowQueue(FlowQueue):
-    """:class:`FlowQueue` over a :class:`_BatchView`.
-
-    Only the pair-view *keying* changes: keyed naively by virtual ports
-    the heads array would be ``(N*m) x (N*m')`` — quadratic in the trial
-    count — but cross-trial pairs cannot exist, so keys are remapped to
-    the compact ``trial * m * m' + lsrc * m' + ldst`` space (linear in
-    N).  The batched kernels never *initialize* the pair view (they
-    derive heads per round from the alive list), so ``arrive``/
-    ``remove`` stay pure array operations; the keying matters only if a
-    caller asks for the incremental view explicitly.
-    """
-
-    __slots__ = ("_m_out",)
-
-    def __init__(self, view: _BatchView):
-        super().__init__(view)
-        self._m_out = view.m_out
-
-    def _pair_keys(self, n: int) -> List[int]:
-        # vsrc * m' + ldst == trial * m * m' + lsrc * m' + ldst: unique
-        # per (trial, lsrc, ldst), i.e. per realizable (vsrc, vdst) pair.
-        return (
-            self.srcs[:n] * self._m_out + self.dsts[:n] % self._m_out
-        ).tolist()
-
-    def _pair_key_count(self) -> int:
-        return self.n_inputs * self._m_out
-
-
 def _same_switch(a: Switch, b: Switch) -> bool:
     if a is b:
         # Cells generated through the amortized batch path share one
@@ -223,13 +202,6 @@ def batch_kernel_name(
                 return None
         return "coflow"
     return None
-
-
-def _empty_result(instance: Instance) -> SimulationResult:
-    empty = Schedule(instance, np.zeros(0, dtype=np.int64))
-    return SimulationResult(
-        empty, ScheduleMetrics.of(empty), 0, np.zeros(0, dtype=np.int64)
-    )
 
 
 def _measure(timer, name: str):
@@ -293,49 +265,6 @@ def _vectorized_unit_pack(
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
-
-
-def _check_feasible_fast(
-    chosen: np.ndarray,
-    queue: "BatchFlowQueue",
-    switch: Switch,
-    policy_name: str,
-    t: int,
-    slot_in: np.ndarray,
-    slot_out: np.ndarray,
-) -> None:
-    """Happy-path feasibility check for the merged engine.
-
-    A unit-capacity selection is feasible iff every chosen flow is
-    waiting and no two share a port — verified with two scratch
-    scatters over the selection instead of the solo checker's
-    full-switch-width bincounts (the merged switch has ``T * m``
-    virtual ports, so those dominate small rounds).  Any failure
-    re-runs the exact solo checker, so violation reports stay
-    byte-identical.
-    """
-    k = chosen.size
-    if k == 0:
-        return
-    if not queue.unit_capacity:
-        _check_feasible(chosen, queue, switch, policy_name, t)
-        return
-    ok = int(chosen.min()) >= 0 and int(chosen.max()) < queue.srcs.shape[0]
-    if ok:
-        s = queue.srcs[chosen]
-        d = queue.dsts[chosen]
-        idx = np.arange(k, dtype=np.int64)
-        slot_in[s] = idx
-        slot_out[d] = idx
-        # Each position reads back its own index iff its port was not
-        # claimed twice (duplicate scatters keep only the last write).
-        ok = (
-            bool((slot_in[s] == idx).all())
-            and bool((slot_out[d] == idx).all())
-            and bool(queue.waiting_mask(chosen).all())
-        )
-    if not ok:
-        _check_feasible(chosen, queue, switch, policy_name, t)
 
 
 def _pack_side(
@@ -464,7 +393,7 @@ def simulate_batch(
     results: List[Optional[SimulationResult]] = [None] * len(instances)
     for i in range(len(instances)):
         if instances[i].num_flows == 0:
-            results[i] = _empty_result(instances[i])
+            results[i] = simulate(instances[i], policies[i])
     merged = _simulate_merged(
         [instances[i] for i in live],
         [policies[i] for i in live],
@@ -716,7 +645,7 @@ def _simulate_merged(
     else:
         caps = np.full(n_trials, max_rounds, dtype=np.int64)
 
-    queue = BatchFlowQueue(view)
+    queue = FlowQueue(view)
     trial_of = view.trial_of
     track_solves = kernel == "maxcard" and queue.unit_capacity
     hk_stats: Optional[Dict[str, np.ndarray]] = None
@@ -726,26 +655,20 @@ def _simulate_merged(
             "augmentations": np.zeros(n_trials, dtype=np.int64),
             "warm_start_seeds": np.zeros(n_trials, dtype=np.int64),
         }
-    select = _make_select(
+    kernel_select = _make_select(
         kernel, queue, view, instances, policies, timer, hk_stats
     )
+
+    def select(t: int) -> np.ndarray:
+        if timer is None:
+            return kernel_select(t)
+        sel_start = time.perf_counter()
+        chosen = kernel_select(t)
+        timer.add("batch_select", time.perf_counter() - sel_start)
+        return chosen
+
     policy_name = policies[0].name
-
     releases = view.releases()
-    arrival_order = np.argsort(releases, kind="stable")
-    uniq_rounds, starts = np.unique(
-        releases[arrival_order], return_index=True
-    )
-    ends = np.append(starts[1:], total)
-    arrivals_at = {
-        int(r): arrival_order[s:e]
-        for r, s, e in zip(
-            uniq_rounds.tolist(), starts.tolist(), ends.tolist()
-        )
-    }
-
-    feas_in = np.empty(view.switch.num_inputs, dtype=np.int64)
-    feas_out = np.empty(view.switch.num_outputs, dtype=np.int64)
     assignment = np.full(total, -1, dtype=np.int64)
     # Shadow counters: exact per-trial mirrors of each solo FlowQueue's
     # bookkeeping, maintained vectorized over the trial axis.
@@ -756,9 +679,17 @@ def _simulate_merged(
     sched_per = np.zeros(n_trials, dtype=np.int64)
     rounds_of = np.full(n_trials, -1, dtype=np.int64)
     history_rows: List[np.ndarray] = []
-    scheduled_total = 0
-    t = 0
-    while scheduled_total < total:
+
+    def arrivals():
+        nonlocal sh_pos, sh_alive
+        for arriving in _arrival_rounds(releases):
+            if arriving.size:
+                cnt = np.bincount(trial_of[arriving], minlength=n_trials)
+                sh_pos += cnt
+                sh_alive += cnt
+            yield arriving
+
+    def limit(t: int) -> None:
         overdue = (sched_per < counts) & (t >= caps)
         if overdue.any():
             i = int(np.flatnonzero(overdue)[0])
@@ -766,47 +697,32 @@ def _simulate_merged(
                 f"policy {policy_name} exceeded {int(caps[i])} rounds with "
                 f"{int(counts[i] - sched_per[i])} flows unscheduled"
             )
-        round_start = time.perf_counter() if timer is not None else 0.0
-        arriving = arrivals_at.get(t)
-        if arriving is not None:
-            queue.arrive(arriving)
-            cnt = np.bincount(trial_of[arriving], minlength=n_trials)
-            sh_pos += cnt
-            sh_alive += cnt
+
+    def record(t: int, chosen: np.ndarray) -> None:
+        nonlocal solves, sched_per, sh_alive, sh_comp
         history_rows.append(sh_alive.copy())
         if track_solves:
             # One Hopcroft–Karp solve per solo round with a non-empty
             # queue.
             solves += sh_alive > 0
-        if queue.n_alive:
-            if timer is not None:
-                sel_start = time.perf_counter()
-                chosen = select(t)
-                timer.add("batch_select", time.perf_counter() - sel_start)
-            else:
-                chosen = select(t)
-            _check_feasible_fast(
-                chosen, queue, view.switch, policy_name, t, feas_in, feas_out
-            )
-            if chosen.size:
-                assignment[chosen] = t
-                queue.remove(chosen)
-                scheduled_total += chosen.size
-                rcnt = np.bincount(trial_of[chosen], minlength=n_trials)
-                sched_per += rcnt
-                sh_alive -= rcnt
-                # Solo compaction trigger, checked only on rounds where
-                # that trial's remove() ran (rcnt > 0).
-                dead = sh_pos - sh_alive
-                compacted = (rcnt > 0) & (dead > 32) & (dead > sh_alive)
-                sh_comp += compacted
-                sh_pos[compacted] = sh_alive[compacted]
-                done = (sched_per == counts) & (rounds_of < 0)
-                if done.any():
-                    rounds_of[done] = t + 1
-        if timer is not None:
-            timer.add("sim_round", time.perf_counter() - round_start)
-        t += 1
+        if chosen.size:
+            assignment[chosen] = t
+            rcnt = np.bincount(trial_of[chosen], minlength=n_trials)
+            sched_per += rcnt
+            sh_alive -= rcnt
+            # Solo compaction trigger, checked only on rounds where that
+            # trial's remove() ran (rcnt > 0).
+            dead = sh_pos - sh_alive
+            compacted = (rcnt > 0) & (dead > 32) & (dead > sh_alive)
+            sh_comp += compacted
+            sh_pos[compacted] = sh_alive[compacted]
+            done = (sched_per == counts) & (rounds_of < 0)
+            if done.any():
+                rounds_of[done] = t + 1
+
+    _run_rounds(
+        queue, view.switch, policy_name, arrivals(), limit, select, record, timer
+    )
 
     history = np.stack(history_rows) if history_rows else np.zeros(
         (0, n_trials), dtype=np.int64

@@ -25,10 +25,21 @@ consume directly:
 Policies read these structures through ``select(t, queue, instance)``
 and return the chosen fids as an array.
 
-The engine enforces feasibility (capacity and release constraints) on
-whatever the policy returns — now with one ``np.bincount`` per side
-instead of per-flow dict updates — so buggy policies fail loudly rather
-than producing invalid statistics.
+One round loop, :func:`_run_rounds`, runs every simulation:
+:func:`simulate`, :func:`simulate_stream` and the merged trial-batch
+engine of :func:`repro.online.batch.simulate_batch`.  Each round it
+ingests arrivals, applies the run's round limit, selects, checks
+feasibility, records the round and removes the chosen flows; one
+``sim_round`` timer event covers the whole round.  Each entry point
+supplies only what differs: its arrival source (the instance's
+releases, a stream, or the stacked releases of a trial batch), its
+round limit, its selection, and its per-round record (the assignment
+and queue history, running response aggregates, or per-trial shadow
+counters).
+
+The loop enforces feasibility (capacity and release constraints) on
+whatever the policy returns through one checker, :func:`_check_feasible`,
+so buggy policies fail loudly rather than producing invalid statistics.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import time
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +56,10 @@ from repro.core.instance import Instance
 from repro.core.metrics import ScheduleMetrics
 from repro.core.schedule import Schedule, ScheduleError
 from repro.online.policies import OnlinePolicy
+from repro.scenarios.stream import _check_batch
 from repro.utils.timing import Timer
+
+_NO_FLOWS = np.empty(0, dtype=np.int64)
 
 
 class FlowQueue:
@@ -97,19 +111,31 @@ class FlowQueue:
     )
 
     def __init__(self, instance: Instance):
-        n = instance.num_flows
         self.srcs = instance.srcs()
         self.dsts = instance.dsts()
         self.demands = instance.demands()
         self.releases = instance.releases()
-        self.n_inputs = instance.switch.num_inputs
-        self.n_outputs = instance.switch.num_outputs
-        self.unit_capacity = bool(instance.switch.is_unit_capacity)
+        self._init_state(instance.switch, instance.num_flows)
+
+    def _init_state(self, switch, n: int) -> None:
+        """Empty queue over ``n`` fid slots (attribute arrays already set)."""
+        self.n_inputs = switch.num_inputs
+        self.n_outputs = switch.num_outputs
+        self.unit_capacity = bool(switch.is_unit_capacity)
         self._fids = np.empty(n, dtype=np.int64)
         self._alive = np.zeros(n, dtype=bool)
         self._pos_of = np.full(n, -1, dtype=np.int64)
         self._n_pos = 0
         self._n_alive = 0
+        self._key_mult = max(n, 1)
+        self._port_in: Optional[np.ndarray] = None
+        self._port_out: Optional[np.ndarray] = None
+        self.compactions = 0
+        self._reset_pair_view()
+
+    def _reset_pair_view(self) -> None:
+        """Drop the cached alive list and the pair view (both rebuild
+        lazily on next use)."""
         self._cache: Optional[np.ndarray] = None
         self._keys: Optional[List[int]] = None
         self._pairs: Optional[Dict[int, Deque[int]]] = None
@@ -117,14 +143,10 @@ class FlowQueue:
         self._adj_v: Optional[List[List[int]]] = None
         self._adj_f: Optional[List[List[int]]] = None
         self._adj_key: Optional[List[List[int]]] = None
-        self._key_mult = max(n, 1)
         self._rel_list: Optional[List[int]] = None
         self._src_list: Optional[List[int]] = None
         self._dst_list: Optional[List[int]] = None
         self._waiting_set: Optional[set] = None
-        self._port_in: Optional[np.ndarray] = None
-        self._port_out: Optional[np.ndarray] = None
-        self.compactions = 0
 
     @property
     def n_alive(self) -> int:
@@ -302,19 +324,9 @@ class FlowQueue:
         array here; the streaming subclass over-allocates and overrides)."""
         return self.srcs.shape[0]
 
-    def _pair_keys(self, n: int) -> List[int]:
-        """Dense (src, dst) pair key per fid.  Overridable: the batched
-        queue remaps virtual ports to a compact per-trial key space so the
-        heads array stays linear in the number of trials."""
-        return (self.srcs[:n] * self.n_outputs + self.dsts[:n]).tolist()
-
-    def _pair_key_count(self) -> int:
-        """Size of the pair-key space (length of the heads array)."""
-        return self.n_inputs * self.n_outputs
-
     def _init_pair_view(self) -> None:
         n = self._flow_count()
-        self._keys = self._pair_keys(n)
+        self._keys = (self.srcs[:n] * self.n_outputs + self.dsts[:n]).tolist()
         self._rel_list = self.releases[:n].tolist()
         self._src_list = self.srcs[:n].tolist()
         self._dst_list = self.dsts[:n].tolist()
@@ -323,7 +335,7 @@ class FlowQueue:
         srcl, dstl = self._src_list, self._dst_list
         mult = self._key_mult
         pairs: Dict[int, Deque[int]] = {}
-        heads = np.full(self._pair_key_count(), -1, dtype=np.int64)
+        heads = np.full(self.n_inputs * self.n_outputs, -1, dtype=np.int64)
         adj_v: List[List[int]] = [[] for _ in range(self.n_inputs)]
         adj_f: List[List[int]] = [[] for _ in range(self.n_inputs)]
         adj_key: List[List[int]] = [[] for _ in range(self.n_inputs)]
@@ -386,37 +398,16 @@ class StreamFlowQueue(FlowQueue):
 
     def __init__(self, switch):
         self.switch = switch
-        self.n_inputs = switch.num_inputs
-        self.n_outputs = switch.num_outputs
-        self.unit_capacity = bool(switch.is_unit_capacity)
         cap = self._MIN_CAP
         self.srcs = np.zeros(cap, dtype=np.int64)
         self.dsts = np.zeros(cap, dtype=np.int64)
         self.demands = np.ones(cap, dtype=np.int64)
         self.releases = np.zeros(cap, dtype=np.int64)
-        self._fids = np.empty(cap, dtype=np.int64)
-        self._alive = np.zeros(cap, dtype=bool)
-        self._pos_of = np.full(cap, -1, dtype=np.int64)
-        self._n_pos = 0
-        self._n_alive = 0
-        self._cache = None
-        self._keys = None
-        self._pairs = None
-        self._head_arr = None
-        self._adj_v = None
-        self._adj_f = None
-        self._adj_key = None
+        self._init_state(switch, cap)
         # Pair-view sort keys are Python ints (arbitrary precision), so a
         # constant multiplier larger than any local fid keeps the
         # (release, fid) ordering without rescaling as the window grows.
         self._key_mult = 1 << 62
-        self._rel_list = None
-        self._src_list = None
-        self._dst_list = None
-        self._waiting_set = None
-        self._port_in = None
-        self._port_out = None
-        self.compactions = 0
         self._cap = cap
         self._n_local = 0
         self._rebase_at = 4 * self._MIN_CAP
@@ -517,17 +508,7 @@ class StreamFlowQueue(FlowQueue):
         self.global_offset += off
         self.rebases += 1
         # Pair-view structures hold pre-shift fids; rebuild lazily.
-        self._pairs = None
-        self._keys = None
-        self._head_arr = None
-        self._adj_v = None
-        self._adj_f = None
-        self._adj_key = None
-        self._rel_list = None
-        self._src_list = None
-        self._dst_list = None
-        self._waiting_set = None
-        self._cache = None
+        self._reset_pair_view()
 
 
 @dataclass(frozen=True)
@@ -611,56 +592,34 @@ def simulate(
     bind = getattr(policy, "bind_runtime", None)
     if bind is not None:
         bind(timer, stats)
-
-    # Arrival schedule: fids grouped by release round, in fid order within
-    # a round (matching the seed's flows_by_release iteration order).
-    releases = queue.releases
-    arrival_order = np.argsort(releases, kind="stable")
-    uniq_rounds, starts = np.unique(releases[arrival_order], return_index=True)
-    ends = np.append(starts[1:], n)
-    arrivals_at = {
-        int(r): arrival_order[s:e]
-        for r, s, e in zip(uniq_rounds.tolist(), starts.tolist(), ends.tolist())
-    }
-
     assignment = np.full(n, -1, dtype=np.int64)
-    scheduled_count = 0
     queue_history: List[int] = []
 
-    policy.reset(instance)
-
-    t = 0
-    while scheduled_count < n:
+    def limit(t: int) -> None:
         if t >= max_rounds:
             raise RuntimeError(
                 f"policy {policy.name} exceeded {max_rounds} rounds with "
-                f"{n - scheduled_count} flows unscheduled"
+                f"{int(np.count_nonzero(assignment < 0))} flows unscheduled"
             )
-        round_start = time.perf_counter() if timer is not None else 0.0
-        arriving = arrivals_at.get(t)
-        if arriving is not None:
-            queue.arrive(arriving)
-        queue_history.append(queue.n_alive)
-        if queue.n_alive:
-            chosen = policy.select(t, queue, instance)
-            if not isinstance(chosen, np.ndarray):
-                chosen = np.asarray(list(chosen), dtype=np.int64)
-            _check_feasible(chosen, queue, instance.switch, policy.name, t)
-            if chosen.size:
-                assignment[chosen] = t
-                queue.remove(chosen)
-                scheduled_count += chosen.size
-        if timer is not None:
-            timer.add("sim_round", time.perf_counter() - round_start)
-        t += 1
 
-    stats["sim_rounds"] = t
+    def record(t: int, chosen: np.ndarray) -> None:
+        queue_history.append(queue.n_alive)
+        if chosen.size:
+            assignment[chosen] = t
+
+    policy.reset(instance)
+    rounds = _run_rounds(
+        queue, instance.switch, policy.name, _arrival_rounds(queue.releases),
+        limit, lambda t: policy.select(t, queue, instance), record, timer,
+    )
+
+    stats["sim_rounds"] = rounds
     stats["compactions"] = queue.compactions
     schedule = Schedule(instance, assignment)
     result = SimulationResult(
         schedule,
         ScheduleMetrics.of(schedule),
-        rounds=t,
+        rounds=rounds,
         queue_history=np.asarray(queue_history, dtype=np.int64),
         stats=stats,
     )
@@ -671,24 +630,113 @@ def simulate(
     return result
 
 
+def _arrival_rounds(releases: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the fids released in each round ``t = 0 .. max release``.
+
+    Within a round fids stay in fid order (the seed's flows_by_release
+    iteration order); rounds without releases yield an empty array.
+    """
+    order = np.argsort(releases, kind="stable")
+    rounds, starts = np.unique(releases[order], return_index=True)
+    ends = np.append(starts[1:], releases.size)
+    t = 0
+    for r, s, e in zip(rounds.tolist(), starts.tolist(), ends.tolist()):
+        while t < r:
+            yield _NO_FLOWS
+            t += 1
+        yield order[s:e]
+        t += 1
+
+
+def _run_rounds(
+    queue: FlowQueue,
+    switch,
+    policy_name: str,
+    arrivals: Iterator[np.ndarray],
+    limit: Callable[[int], None],
+    select: Callable[[int], np.ndarray],
+    record: Callable[[int, np.ndarray], None],
+    timer: Optional[Timer],
+) -> int:
+    """The round loop of every simulation; returns the rounds it ran.
+
+    Round ``t`` ingests the ``t``-th array of ``arrivals`` (fids to
+    enqueue; the iterator's end means no flow arrives any more), stops
+    once arrivals have ended and the queue is empty, lets ``limit(t)``
+    raise when the run is over its round limit, asks ``select(t)`` for
+    the fids to run (only when flows wait), checks them with
+    :func:`_check_feasible`, hands them to ``record(t, chosen)`` while
+    the queue still holds them, and removes them.  With a ``timer``,
+    one ``sim_round`` event covers the whole round.
+    """
+    slot_in = np.empty(switch.num_inputs, dtype=np.int64)
+    slot_out = np.empty(switch.num_outputs, dtype=np.int64)
+    t = 0
+    while True:
+        round_start = time.perf_counter() if timer is not None else 0.0
+        if arrivals is not None:
+            fids = next(arrivals, None)
+            if fids is None:
+                arrivals = None
+            elif fids.size:
+                queue.arrive(fids)
+        if arrivals is None and not queue.n_alive:
+            return t
+        limit(t)
+        chosen = _NO_FLOWS
+        if queue.n_alive:
+            chosen = select(t)
+            if not isinstance(chosen, np.ndarray):
+                chosen = np.asarray(list(chosen), dtype=np.int64)
+            _check_feasible(
+                chosen, queue, switch, policy_name, t, slot_in, slot_out
+            )
+        record(t, chosen)
+        if chosen.size:
+            queue.remove(chosen)
+        if timer is not None:
+            timer.add("sim_round", time.perf_counter() - round_start)
+        t += 1
+
+
 def _check_feasible(
     chosen: np.ndarray,
     queue: FlowQueue,
     switch,
     policy_name: str,
     t: int,
+    slot_in: np.ndarray,
+    slot_out: np.ndarray,
 ) -> None:
     """Validate a policy's per-round selection against the capacities.
 
-    Vectorized: the happy path is two membership probes and one
-    ``np.bincount`` per switch side; violation reporting (which must name
-    the first offender the way the seed's per-flow walk did) only runs
-    once a violation is detected.
+    Unit-capacity happy path: the selection is feasible iff every chosen
+    flow is waiting and no two share a port, which two scatters into the
+    per-port scratch buffers ``slot_in``/``slot_out`` verify (each
+    position reads its own index back iff its port was claimed once) —
+    cheaper than full-switch-width bincounts on the merged engine's
+    stacked switch.  Otherwise, or when that test fails, the exact
+    check runs: membership probes and one ``np.bincount`` per switch
+    side, with violation reporting (which must name the first offender
+    the way the seed's per-flow walk did) only once a violation is
+    detected.
     """
     k = chosen.size
     if k == 0:
         return
     n = queue.srcs.shape[0]
+    if queue.unit_capacity and int(chosen.min()) >= 0 and int(chosen.max()) < n:
+        s = queue.srcs[chosen]
+        d = queue.dsts[chosen]
+        idx = np.arange(k, dtype=np.int64)
+        slot_in[s] = idx
+        slot_out[d] = idx
+        if (
+            (slot_in[s] == idx).all()
+            and (slot_out[d] == idx).all()
+            and queue.waiting_mask(chosen).all()
+        ):
+            return
     ok = len(set(chosen.tolist())) == k
     if ok:
         mn = int(chosen.min())
@@ -922,8 +970,6 @@ def simulate_stream(
     policy.reset(view)
 
     it = iter(stream)
-    exhausted = False
-    t = 0
     arrived = 0
     consumed = 0  # arrival rounds actually pulled from the stream
     total_resp = 0
@@ -933,31 +979,22 @@ def simulate_stream(
     history: List[int] = []
     drain_deadline: Optional[int] = None
 
-    while True:
-        # Timer window matches simulate(): arrival ingestion (incl.
-        # validation and rebases) counts as round work.
-        round_start = time.perf_counter() if timer is not None else 0.0
-        if not exhausted:
-            if limit is not None and t >= limit:
-                exhausted = True
+    def arrivals() -> Iterator[np.ndarray]:
+        # Validation and rebases run inside the round's timer window.
+        nonlocal arrived, consumed
+        for t, batch in zip(range(limit), it):
+            consumed = t + 1
+            srcs, dsts, demands = _check_batch(batch, t)
+            if srcs.size:
+                _validate_batch(srcs, dsts, demands, switch, t)
+                arrived += int(srcs.size)
+                yield queue.extend_flows(srcs, dsts, demands, t)
             else:
-                try:
-                    batch = next(it)
-                except StopIteration:
-                    exhausted = True
-                else:
-                    consumed = t + 1
-                    srcs = np.asarray(batch[0], dtype=np.int64)
-                    dsts = np.asarray(batch[1], dtype=np.int64)
-                    demands = np.asarray(batch[2], dtype=np.int64)
-                    if srcs.size:
-                        _validate_batch(srcs, dsts, demands, switch, t)
-                        fids = queue.extend_flows(srcs, dsts, demands, t)
-                        queue.arrive(fids)
-                        arrived += int(srcs.size)
-        if exhausted:
-            if queue.n_alive == 0:
-                break
+                yield _NO_FLOWS
+
+    def round_limit(t: int) -> None:
+        nonlocal drain_deadline
+        if consumed <= t:  # no batch for round t: the arrivals have ended
             if drain_deadline is None:
                 drain_deadline = t + 2 * queue.n_alive + 2
             elif t > drain_deadline:
@@ -970,28 +1007,27 @@ def simulate_stream(
                 f"policy {policy.name} exceeded {max_rounds} rounds with "
                 f"{queue.n_alive} flows waiting"
             )
+
+    def record(t: int, chosen: np.ndarray) -> None:
+        nonlocal total_resp, max_resp, makespan
         if record_queue_history:
             history.append(queue.n_alive)
-        if queue.n_alive:
-            chosen = policy.select(t, queue, view)
-            if not isinstance(chosen, np.ndarray):
-                chosen = np.asarray(list(chosen), dtype=np.int64)
-            _check_feasible(chosen, queue, switch, policy.name, t)
-            if chosen.size:
-                resp = (t + 1) - queue.releases[chosen]
-                total_resp += int(resp.sum())
-                peak = int(resp.max())
-                if peak > max_resp:
-                    max_resp = peak
-                makespan = t + 1
-                if record_schedule:
-                    offset = queue.global_offset
-                    for fid in chosen.tolist():
-                        assigned[fid + offset] = t
-                queue.remove(chosen)
-        if timer is not None:
-            timer.add("sim_round", time.perf_counter() - round_start)
-        t += 1
+        if chosen.size:
+            resp = (t + 1) - queue.releases[chosen]
+            total_resp += int(resp.sum())
+            peak = int(resp.max())
+            if peak > max_resp:
+                max_resp = peak
+            makespan = t + 1
+            if record_schedule:
+                offset = queue.global_offset
+                for fid in chosen.tolist():
+                    assigned[fid + offset] = t
+
+    _run_rounds(
+        queue, switch, policy.name, arrivals(), round_limit,
+        lambda t: policy.select(t, queue, view), record, timer,
+    )
 
     # The loop may have walked empty trailing arrival rounds after the
     # last flow was scheduled (it cannot know the tail is empty without

@@ -67,20 +67,30 @@ def hash_batch(h, batch: Batch) -> None:
     h.update(np.ascontiguousarray(demands, dtype=np.int64).tobytes())
 
 
-def make_batch(srcs, dsts, demands=None) -> Batch:
-    """Normalize arrays/sequences into a :data:`Batch` triple."""
-    s = np.asarray(srcs, dtype=np.int64)
-    d = np.asarray(dsts, dtype=np.int64)
-    if demands is None:
-        dem = np.ones(s.size, dtype=np.int64)
-    else:
-        dem = np.asarray(demands, dtype=np.int64)
-    if not (s.size == d.size == dem.size):
+def _check_batch(batch, t: Optional[int] = None) -> Batch:
+    """Normalize one ``(srcs, dsts, demands)`` triple into a :data:`Batch`.
+
+    Raises ``ValueError`` unless the three arrays are one-dimensional and
+    of equal size; the message starts with ``round t:`` when the round
+    ``t`` is given.  Every stream consumer calls this on each batch it
+    pulls, since a stream may yield batches not built by
+    :func:`make_batch`.
+    """
+    s, d, dem = (np.asarray(a, dtype=np.int64) for a in batch)
+    if not (s.ndim == d.ndim == dem.ndim == 1 and s.size == d.size == dem.size):
+        where = "" if t is None else f"round {t}: "
         raise ValueError(
-            f"batch arrays must have equal sizes, got "
-            f"{s.size}/{d.size}/{dem.size}"
+            f"{where}batch arrays must be one-dimensional with equal sizes, "
+            f"got shapes {s.shape}/{d.shape}/{dem.shape}"
         )
     return (s, d, dem)
+
+
+def make_batch(srcs, dsts, demands=None) -> Batch:
+    """Normalize arrays/sequences into a :data:`Batch` triple."""
+    if demands is None:
+        demands = np.ones(np.size(srcs), dtype=np.int64)
+    return _check_batch((srcs, dsts, demands))
 
 
 class ArrivalStream:
@@ -310,7 +320,8 @@ class ArrivalStream:
                 "materialize a prefix"
             )
         flows: List[Flow] = []
-        for t, (srcs, dsts, demands) in enumerate(islice(iter(self), rounds)):
+        for t, batch in enumerate(islice(iter(self), rounds)):
+            srcs, dsts, demands = _check_batch(batch, t)
             for i in range(srcs.size):
                 flows.append(
                     Flow(int(srcs[i]), int(dsts[i]), int(demands[i]), t)

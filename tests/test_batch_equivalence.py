@@ -17,12 +17,7 @@ from repro.coflow.policies import make_coflow_policy
 from repro.core.flow import Flow
 from repro.core.instance import Instance
 from repro.core.switch import Switch
-from repro.online.batch import (
-    BatchFlowQueue,
-    _BatchView,
-    batch_kernel_name,
-    simulate_batch,
-)
+from repro.online.batch import batch_kernel_name, simulate_batch
 from repro.online.policies import (
     POLICY_REGISTRY,
     FifoPolicy,
@@ -200,16 +195,6 @@ class TestMergedKernels:
                 [make_policy("FIFO") for _ in instances],
                 max_rounds=1,
             )
-
-    def test_compact_pair_key_space(self):
-        # Keyed by virtual ports the heads array would be quadratic in
-        # the trial count; the compact remap keeps it linear.
-        instances = _unit_cell(6, ports=8)
-        queue = BatchFlowQueue(_BatchView(instances))
-        assert queue._pair_key_count() == 6 * 8 * 8
-        queue.arrive(np.arange(4, dtype=np.int64))
-        adj_v, adj_f = queue.pair_adjacency()
-        assert sum(len(row) for row in adj_f) == 4
 
 
 class TestWarmStartMaxCard:

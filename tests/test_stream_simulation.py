@@ -305,3 +305,69 @@ class TestAMRTStream:
         assert res.arrivals == 0
         assert res.batches == 0
         assert res.metrics.num_flows == 0
+
+
+def _stream(*batches):
+    """A 4-port stream whose round-``t`` arrivals are ``batches[t]``."""
+    return ArrivalStream(
+        Switch.create(4), lambda: iter(batches), len(batches), "fixed"
+    )
+
+
+class TestStreamRoundLimits:
+    def test_max_rounds_grants_exactly_that_many_rounds(self):
+        # Three flows on port pair (0, 0) need one round each.
+        stream = _stream(make_batch([0, 0, 0], [0, 0, 0]))
+        res = simulate_stream(stream, make_policy("FIFO"), max_rounds=3)
+        assert res.rounds == 3
+        assert res.metrics.num_flows == 3
+
+    def test_max_rounds_exceeded(self):
+        stream = _stream(make_batch([0, 0, 0], [0, 0, 0]))
+        with pytest.raises(RuntimeError, match="exceeded 2 rounds"):
+            simulate_stream(stream, make_policy("FIFO"), max_rounds=2)
+
+    def test_drain_guard_stops_an_idle_policy(self):
+        class Idle(OnlinePolicy):
+            name = "Idle"
+
+            def select(self, t, queue, instance):
+                return np.empty(0, dtype=np.int64)
+
+        stream = _stream(make_batch([0], [1]))
+        with pytest.raises(
+            RuntimeError,
+            match=r"failed to drain the queue \(1 flows waiting at round 6\)",
+        ):
+            simulate_stream(stream, Idle())
+
+
+#: Batches a stream may yield without going through ``make_batch``.
+MALFORMED_BATCHES = {
+    "sizes-2-1-1": ([0, 1], [2], [1]),
+    "sizes-1-2-1": ([0], [2, 3], [1]),
+    "sizes-2-1-2": ([0, 1], [2], [1, 1]),
+    "sizes-3-2-3": ([0, 1, 2], [2, 3], [1, 1, 1]),
+    "two-dimensional": ([[0, 1]], [[2, 3]], [[1, 1]]),
+}
+
+STREAM_CONSUMERS = {
+    "simulate_stream": lambda s: simulate_stream(s, make_policy("FIFO")),
+    "run_amrt_stream": run_amrt_stream,
+    "materialize": lambda s: s.materialize(),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(STREAM_CONSUMERS))
+@pytest.mark.parametrize(
+    "batch", list(MALFORMED_BATCHES.values()), ids=list(MALFORMED_BATCHES)
+)
+def test_malformed_batch_is_rejected(consumer, batch):
+    """Every stream consumer names the round of a batch whose arrays are
+    not one-dimensional and equally sized."""
+    stream = _stream(make_batch([0], [1]), batch)
+    with pytest.raises(
+        ValueError,
+        match=r"^round 1: batch arrays must be one-dimensional with equal sizes",
+    ):
+        STREAM_CONSUMERS[consumer](stream)

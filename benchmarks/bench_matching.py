@@ -3,8 +3,9 @@
 Measures the array-native matching stack against a faithful port of the
 **pre-PR ("legacy") kernels** — Python-tuple edge lists, per-call
 adjacency dicts, float-distance Hopcroft–Karp, O(Δ) first-free color
-scans, and the per-round rebuild-everything simulator loop — so the
-speedup of the incremental engine is quantified, not asserted.
+scans, the per-round rebuild-everything simulator loop, and the
+pure-Python Hungarian behind max-weight matching — so the speedup of the
+incremental engine is quantified, not asserted.
 
 Two ways to run:
 
@@ -16,7 +17,9 @@ Two ways to run:
   Writes ``BENCH_matching.json`` with ops/sec per kernel per size, the
   legacy-vs-new MaxCard simulation throughput at n≈2000 flows, and the
   cold-vs-warm BFS phase counts on a churn-heavy instance (asserted:
-  warm must do strictly fewer phases).
+  warm must do strictly fewer phases).  The max-weight matching rows
+  assert that the new and legacy kernels find the same total weight on
+  every graph they time (tied optima may differ).
 
 * Under pytest-benchmark (interactive profiling)::
 
@@ -42,6 +45,7 @@ from repro.core.schedule import Schedule
 from repro.matching.bipartite import BipartiteMultigraph
 from repro.matching.edge_coloring import edge_color_bipartite
 from repro.matching.hopcroft_karp import max_cardinality_matching
+from repro.matching.weight_matching import matching_weight, max_weight_matching
 from repro.online.policies import MaxCardPolicy
 from repro.online.simulator import simulate
 from repro.workloads.synthetic import (
@@ -188,6 +192,77 @@ def legacy_edge_color(graph):
     return colors
 
 
+def legacy_hungarian(cost):
+    """The seed repo's assignment solver: the potentials Hungarian method
+    with a NumPy-vectorized row scan (``col_of_row`` for ``n <= m``)."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n, m = cost.shape
+    if n > m:
+        raise ValueError(f"need n <= m, got shape {cost.shape}")
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)  # p[j] = row matched to column j (0 = none)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = ~used
+            free[0] = False
+            cols = np.flatnonzero(free)
+            cur = cost[i0 - 1, cols - 1] - u[i0] - v[cols]
+            better = cur < minv[cols]
+            upd = cols[better]
+            minv[upd] = cur[better]
+            way[upd] = j0
+            j1 = cols[np.argmin(minv[cols])]
+            delta = minv[j1]
+            used_idx = np.flatnonzero(used)
+            u[p[used_idx]] += delta
+            v[used_idx] -= delta
+            minv[cols] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = np.full(n, -1, dtype=np.int64)
+    for j in range(1, m + 1):
+        if p[j] != 0:
+            col_of_row[p[j] - 1] = j - 1
+    return col_of_row
+
+
+def legacy_max_weight_matching(n_left, n_right, edges, weights):
+    """The seed repo's max-weight matching: a per-edge python loop builds
+    the dense matrix, then :func:`legacy_hungarian` solves it."""
+    weight_mat = np.zeros((n_left, n_right))
+    eid_mat = np.full((n_left, n_right), -1, dtype=np.int64)
+    for eid, (u, v) in enumerate(edges):
+        w = float(weights[eid])
+        if w < 0:
+            raise ValueError(f"weights must be nonnegative, got {w}")
+        if not 0 <= u < n_left or not 0 <= v < n_right:
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        if eid_mat[u, v] == -1 or w > weight_mat[u, v]:
+            weight_mat[u, v] = w
+            eid_mat[u, v] = eid
+    transposed = n_left > n_right
+    mat = weight_mat.T if transposed else weight_mat
+    result = {}
+    for row, col in enumerate(legacy_hungarian(-mat)):
+        u, v = (col, row) if transposed else (row, int(col))
+        if weight_mat[u, v] > 0:
+            result[u] = int(eid_mat[u, v])
+    return result
+
+
 def legacy_simulate_maxcard(instance):
     """The seed repo's simulator loop + MaxCard: rebuild G_t every round."""
     n = instance.num_flows
@@ -247,6 +322,16 @@ def _random_graph(m, n_edges, seed=0):
     return g
 
 
+def _weighted_pairs(m, n_edges, seed=0):
+    """A waiting graph as the weight policies pass it: ``n_edges``
+    distinct ``(u, v)`` pairs as a ``(k, 2)`` array, with small integer
+    weights so that ties are common."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(m * m, size=n_edges, replace=False)
+    pairs = np.column_stack((cells // m, cells % m))
+    return pairs, rng.integers(1, 10, size=n_edges).astype(float)
+
+
 def _best_of(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -292,6 +377,30 @@ def run_benchmarks(quick=False):
         record(
             "edge_coloring_legacy", size,
             _best_of(lambda: legacy_edge_color(g), repeats),
+        )
+
+    # --- Max-weight matching (MinRTime/MaxWeight) vs the legacy kernel --
+    # 24x24/81e is the median waiting graph of a 24-port, load-1 sweep
+    # cell; 150x150/3000e is the paper's switch size.
+    for m, n_edges in [(24, 81), (150, 3000)]:
+        pairs, weights = _weighted_pairs(m, n_edges, seed=4)
+        edges = [tuple(p) for p in pairs.tolist()]
+        size = f"{m}x{m}/{n_edges}e"
+        new = max_weight_matching(m, m, pairs, weights)
+        legacy = legacy_max_weight_matching(m, m, edges, weights)
+        assert matching_weight(new, weights) == matching_weight(
+            legacy, weights
+        ), f"max-weight matching lost weight on {size}"
+        record(
+            "max_weight_matching", size,
+            _best_of(lambda: max_weight_matching(m, m, pairs, weights), repeats),
+        )
+        record(
+            "max_weight_matching_legacy", size,
+            _best_of(
+                lambda: legacy_max_weight_matching(m, m, edges, weights),
+                repeats,
+            ),
         )
 
     # --- MaxCard online simulation at n≈2000 flows ----------------------
@@ -419,6 +528,21 @@ if pytest is not None:
         g = _random_graph(m, edges, seed=2)
         benchmark(lambda: legacy_edge_color(g))
         record_ops(benchmark, "edge_coloring_legacy", f"{m}x{m}/{edges}e")
+
+    @pytest.mark.parametrize("m,edges", [(24, 81), (150, 3000)])
+    def test_bench_max_weight_matching_new(benchmark, record_ops, m, edges):
+        pairs, weights = _weighted_pairs(m, edges, seed=4)
+        benchmark(lambda: max_weight_matching(m, m, pairs, weights))
+        record_ops(benchmark, "max_weight_matching", f"{m}x{m}/{edges}e")
+
+    @pytest.mark.parametrize("m,edges", [(24, 81), (150, 3000)])
+    def test_bench_max_weight_matching_legacy(benchmark, record_ops, m, edges):
+        pairs, weights = _weighted_pairs(m, edges, seed=4)
+        tuples = [tuple(p) for p in pairs.tolist()]
+        benchmark(lambda: legacy_max_weight_matching(m, m, tuples, weights))
+        record_ops(
+            benchmark, "max_weight_matching_legacy", f"{m}x{m}/{edges}e"
+        )
 
     def test_bench_maxcard_simulation_new(benchmark, record_ops):
         inst = poisson_uniform_workload(16, 100, 20, seed=3)

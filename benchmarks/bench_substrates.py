@@ -40,7 +40,7 @@ def test_bench_hopcroft_karp(benchmark, m, edges):
 
 @pytest.mark.parametrize("m,edges", [(150, 600)])
 def test_bench_max_weight_matching(benchmark, m, edges):
-    """MinRTime/MaxWeight per-round cost (dense Hungarian)."""
+    """MinRTime/MaxWeight per-round cost (dense assignment solve)."""
     rng = np.random.default_rng(1)
     pairs = [
         (int(rng.integers(0, m)), int(rng.integers(0, m)))

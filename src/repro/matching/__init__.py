@@ -1,7 +1,7 @@
 """Bipartite graph algorithms (the paper used the LEMON C++ library).
 
 Everything the scheduling algorithms need from graph theory, implemented
-from scratch:
+from scratch except the dense assignment solve, which is SciPy's:
 
 * :mod:`repro.matching.bipartite` — bipartite (multi)graph container;
 * :mod:`repro.matching.hopcroft_karp` — maximum-cardinality matching
@@ -10,8 +10,9 @@ from scratch:
   over stacked block-diagonal graphs (used by the trial-batched online
   engine);
 * :mod:`repro.matching.weight_matching` — maximum-weight bipartite
-  matching via shortest augmenting paths with potentials (used by the
-  MinRTime and MaxWeight heuristics);
+  matching as a dense assignment solved by SciPy's compiled
+  shortest-augmenting-path method (used by the MinRTime and MaxWeight
+  heuristics);
 * :mod:`repro.matching.edge_coloring` — König Δ-edge-coloring of bipartite
   multigraphs (the constructive Birkhoff–von Neumann step of Theorem 1);
 * :mod:`repro.matching.bvn` — Birkhoff–von-Neumann-style decomposition of

@@ -32,11 +32,11 @@ drain round) that reproduce each solo run's history and stats.
 Batched fast paths exist for FIFO, Random, MaxCard (cold or warm start,
 uniform across the batch) and the co-flow SEBF/CoflowFIFO orderings on
 any switch, plus MinRTime/MaxWeight on non-unit switches (their unit
-path is a per-trial Hungarian solve whose merged tie-breaking is not
-guaranteed to project per trial, so it stays on the fallback).  Every
-other policy — and any subclass, mixed-policy batch, or
-mismatched-switch cell — falls back to per-trial :func:`simulate` calls
-with identical results.
+path is a per-trial dense assignment solve, and the optimum SciPy picks
+among ties on a merged matrix is not guaranteed to project per trial,
+so it stays on the fallback).  Every other policy — and any subclass,
+mixed-policy batch, or mismatched-switch cell — falls back to per-trial
+:func:`simulate` calls with identical results.
 
 When capacities bind (load >= 1, non-unit demands), selection goes
 through :func:`_vectorized_capacitated_pack`: greedy residual-capacity
@@ -188,8 +188,8 @@ def batch_kernel_name(
             return None
         return "maxcard"
     if cls is MinRTimePolicy:
-        # Unit capacity runs a per-trial Hungarian solve whose merged
-        # tie-breaking is not guaranteed to project per trial.
+        # Unit capacity runs a per-trial assignment solve; the optimum
+        # picked among ties on a merged matrix need not project per trial.
         return None if switch.is_unit_capacity else "minrtime"
     if cls is MaxWeightPolicy:
         return None if switch.is_unit_capacity else "maxweight"

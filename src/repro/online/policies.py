@@ -105,7 +105,7 @@ class OnlinePolicy:
         The pair representative (earliest-arrived copy) is exactly the
         copy the seed's dense-matrix construction kept — the heaviest,
         ties to the lowest edge id — because every built-in weight is
-        non-increasing in arrival time within a pair.  So the Hungarian
+        non-increasing in arrival time within a pair.  So the assignment
         solve sees the same matrix and selects the same flows, at
         O(#pairs) instead of O(queue) per round.
         """
@@ -117,7 +117,7 @@ class OnlinePolicy:
             matching = max_weight_matching(
                 instance.switch.num_inputs,
                 instance.switch.num_outputs,
-                list(zip(us.tolist(), vs.tolist())),
+                np.column_stack((us, vs)),
                 w,
             )
         self._bump("matching_solves")

@@ -131,7 +131,7 @@ class TestMergedKernels:
             ("FIFO", "fifo"),
             ("MaxCard", "maxcard"),
             ("Random", "random"),
-            # Unit-capacity MinRTime/MaxWeight run per-trial Hungarian
+            # Unit-capacity MinRTime/MaxWeight run per-trial assignment
             # solves; only their capacitated packing path batches.
             ("MinRTime", None),
             ("MaxWeight", None),

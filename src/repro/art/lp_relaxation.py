@@ -8,7 +8,9 @@ any schedule (Lemma 3.1):
          sum_{e in F_p} b_{e,t} <= c_p    for all p, t    (port capacity)
          b >= 0
 
-Its optimum is the "LP" series of Figure 6.
+Its optimum is the "LP" series of Figure 6.  Each flow gets its own
+window of rounds, short enough to shrink the LP and long enough to hold
+every optimal solution (see :func:`build_fractional_art_lp`).
 
 **LP (5)–(8)** (after Bansal–Kulkarni) replaces per-round capacity with
 per-4-round *blocks* of capacity ``4 c_p`` and uses the coefficient
@@ -19,6 +21,8 @@ per-4-round *blocks* of capacity ``4 c_p`` and uses the coefficient
 from __future__ import annotations
 
 from typing import Optional
+
+import numpy as np
 
 from repro.core.instance import Instance
 from repro.lp.model import LinearProgram, Sense
@@ -40,28 +44,47 @@ def _horizon(instance: Instance, horizon: Optional[int]) -> int:
 def build_fractional_art_lp(
     instance: Instance, horizon: Optional[int] = None
 ) -> LinearProgram:
-    """Construct LP (1)–(4) with rounds ``r_e <= t < horizon``."""
+    """Construct LP (1)–(4), flow e on rounds ``[r_e, end_e)``.
+
+    ``end_e = min(horizon, r_e + floor(D_src/c_src) + floor(D_dst/c_dst)
+    + 1)``, where ``D_p`` is the total demand at port p.  These per-flow
+    windows leave the optimum of the ``horizon``-round LP unchanged, for
+    any horizon:
+
+    * costs rise with t, so in an optimal solution every round
+      ``s in [r_e, t)`` before a round t that carries mass of e has a
+      saturated src or dst port — otherwise moving mass of e from t to s
+      keeps every constraint and lowers the cost;
+    * every cost is positive, so an optimal solution sends exactly
+      ``d_e`` of each flow, and port p carries exactly ``D_p`` in total.
+      It is therefore saturated in at most ``floor(D_p/c_p)`` rounds.
+
+    Hence ``t - r_e <= floor(D_src/c_src) + floor(D_dst/c_dst)``: every
+    optimal solution of the full-horizon LP lies inside the windows, and
+    the windowed LP, a restriction, has the same optimum.
+    """
     H = _horizon(instance, horizon)
-    lp = LinearProgram()
     sw = instance.switch
-    for flow in instance.flows:
+    in_load, out_load = instance.port_loads()
+    waits = (in_load // sw.input_capacities)[instance.srcs()] + (
+        out_load // sw.output_capacities
+    )[instance.dsts()]
+    ends = np.minimum(H, instance.releases() + waits + 1).tolist()
+    lp = LinearProgram()
+    # Port-capacity rows, only for (port, round) pairs that are touched.
+    in_rows: dict[tuple[int, int], dict] = {}
+    out_rows: dict[tuple[int, int], dict] = {}
+    for flow, end in zip(instance.flows, ends):
         kappa = sw.kappa(flow.src, flow.dst)
         coeffs = {}
-        for t in range(flow.release, H):
+        for t in range(flow.release, end):
             name = ("b", flow.fid, t)
             cost = (t - flow.release) / flow.demand + 1.0 / (2.0 * kappa)
             lp.add_variable(name, objective=cost)
             coeffs[name] = 1.0
-        lp.add_constraint(("flow", flow.fid), coeffs, Sense.GE, float(flow.demand))
-
-    # Port-capacity rows, only for (port, round) pairs that are touched.
-    in_rows: dict[tuple[int, int], dict] = {}
-    out_rows: dict[tuple[int, int], dict] = {}
-    for flow in instance.flows:
-        for t in range(flow.release, H):
-            name = ("b", flow.fid, t)
             in_rows.setdefault((flow.src, t), {})[name] = 1.0
             out_rows.setdefault((flow.dst, t), {})[name] = 1.0
+        lp.add_constraint(("flow", flow.fid), coeffs, Sense.GE, float(flow.demand))
     for (p, t), coeffs in sorted(in_rows.items()):
         lp.add_constraint(
             ("cap", "in", p, t), coeffs, Sense.LE, float(sw.input_capacity(p))

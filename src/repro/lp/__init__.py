@@ -7,9 +7,11 @@
 * :mod:`repro.lp.solver` — backend dispatch between our simplex and SciPy
   HiGHS (``highs-ds`` when a vertex solution is required, as in the
   iterative-rounding pipelines);
-* :mod:`repro.lp.bounds` — warm bound oracles for the sweep LPs: build
-  the model once per instance, mutate only the ρ-dependent bounds across
-  the binary search, and memoise results by canonical instance digest.
+* :mod:`repro.lp.bounds` — warm bound oracles for the sweep LPs: start
+  the ρ search at a port-load counting bound, build the model at most
+  once per instance (never when that bound meets the greedy cap), mutate
+  only the ρ-dependent bounds across the search, and memoise results by
+  canonical instance digest.
 """
 
 from repro.lp.bounds import (
@@ -17,6 +19,7 @@ from repro.lp.bounds import (
     art_lower_bound,
     cache_stats,
     clear_bound_caches,
+    counting_lower_bound,
     mrt_lower_bound,
 )
 from repro.lp.model import Constraint, LinearProgram, Sense
@@ -38,4 +41,5 @@ __all__ = [
     "art_lower_bound",
     "cache_stats",
     "clear_bound_caches",
+    "counting_lower_bound",
 ]

@@ -2,19 +2,23 @@
 
 The Figure 6/7 sweeps spend most of their wall-clock in two LP lower
 bounds: the binary-searched feasibility LP (19)–(21) for maximum
-response and LP (1)–(4) for average response.  The legacy path rebuilt
-and cold-solved a fresh LP at every binary-search step; this module is
-the warm replacement:
+response and LP (1)–(4) for average response.  This module keeps both
+cheap:
 
-* :class:`LPBoundOracle` builds the time-constrained LP **once** per
-  instance (at the largest ρ the search can ask about) and answers
-  ``is_feasible(rho)`` for any smaller ρ by mutating only the
-  ρ-dependent variable bounds — a variable ``x_{e,t}`` with
-  ``t >= r_e + rho`` is fixed to ``[0, 0]``, which is equivalent to
-  removing it from the model.  Build and solve work are counted
-  (``oracle.builds`` / ``oracle.solves``) and optionally timed through a
-  :class:`~repro.utils.timing.Timer` under the names ``lp_bound_build``
-  and ``lp_bound_solve``.
+* :func:`counting_lower_bound` is a lower bound on ρ* that needs no LP:
+  the demand released at one port in a span of rounds must fit through
+  that port's capacity.  :meth:`LPBoundOracle.lower_bound` starts its
+  search there, and when the bound meets the greedy schedule's max
+  response the search closes without building or solving any LP.
+* :class:`LPBoundOracle` builds the time-constrained LP at most once
+  per instance (at the largest ρ the search can ask about, on the first
+  query that needs a solve) and answers ``is_feasible(rho)`` for any
+  smaller ρ by mutating only the ρ-dependent variable bounds — a
+  variable ``x_{e,t}`` with ``t >= r_e + rho`` is fixed to ``[0, 0]``,
+  which is equivalent to removing it from the model.  Build and solve
+  work are counted (``oracle.builds`` / ``oracle.solves``) and
+  optionally timed through a :class:`~repro.utils.timing.Timer` under
+  the names ``lp_bound_build`` and ``lp_bound_solve``.
 * :func:`mrt_lower_bound` / :func:`art_lower_bound` wrap the two sweep
   bounds behind an in-process solve cache keyed by the canonical
   instance digest (:meth:`repro.core.instance.Instance.digest`), so
@@ -26,10 +30,7 @@ the warm replacement:
 The solves themselves go through :func:`repro.lp.solver.solve_lp` with
 ``backend="auto"``, which dispatches to the sparse SciPy HiGHS backend
 (the hand-rolled dense tableau simplex remains only as the
-small-instance fallback/teaching backend) — so per-solve cost is no
-longer the bottleneck here.  The remaining headroom is *reuse across
-solves*: warm-starting HiGHS / basis reuse across the ρ binary search,
-since successive oracle queries differ only in variable bounds.
+small-instance fallback/teaching backend).
 
 Cross-*process* reuse (resumable sweeps) is layered on top by the
 content-addressed result store in :mod:`repro.api.store`.
@@ -86,6 +87,44 @@ def _remember(cache: OrderedDict, key: tuple, value) -> None:
             cache.popitem(last=False)
 
 
+def counting_lower_bound(instance: Instance) -> int:
+    """A lower bound on ρ* from port loads alone, with no LP.
+
+    Take a port p and release rounds ``a <= b``, and let D be the total
+    demand of the flows at p released in ``[a, b]``.  Under response
+    bound ρ they are all served in rounds ``[a, b + ρ - 1]`` at most
+    ``c_p`` per round, so ``ρ >= ceil(D / c_p) - (b - a)``.  Constraint
+    (19) caps every round's load at p, so the bound holds for the
+    fractional LP (19)–(21) as well.
+
+    With ``S_b`` the demand released at p up to round b, the best start
+    a for each end b comes from a running minimum:
+    ``ceil(max_b [(S_b - b c_p) - min_{a<=b} (S_{a-1} - a c_p)] / c_p)``,
+    so the cost is O(ports × rounds), not O(rounds²).  The result is the
+    maximum over both sides and every port, and at least 1 (0 for an
+    empty instance).
+    """
+    if instance.num_flows == 0:
+        return 0
+    sw = instance.switch
+    rounds = np.arange(instance.max_release + 1)
+    releases, demands = instance.releases(), instance.demands()
+    best = 1
+    for ports, caps in (
+        (instance.srcs(), sw.input_capacities),
+        (instance.dsts(), sw.output_capacities),
+    ):
+        released = np.zeros((caps.size, rounds.size), dtype=np.int64)
+        np.add.at(released, (ports, releases), demands)
+        cumulative = np.cumsum(released, axis=1)
+        drain = rounds * caps[:, None]
+        ends = cumulative - drain  # S_b - b c_p
+        starts = cumulative - released - drain  # S_{a-1} - a c_p
+        span = (ends - np.minimum.accumulate(starts, axis=1)).max(axis=1)
+        best = max(best, int((-(-span // caps)).max()))
+    return best
+
+
 class LPBoundOracle:
     """Feasibility oracle for LP (19)–(21) across a whole ρ search.
 
@@ -97,19 +136,20 @@ class LPBoundOracle:
         LP backend (see :func:`repro.lp.solver.solve_lp`).
     rho_cap:
         Largest ρ the oracle will be asked about.  Defaults to the greedy
-        earliest-fit schedule's max response, which is always feasible —
-        the same upper bound the legacy binary search used.
+        earliest-fit schedule's max response, which the greedy schedule
+        certifies feasible.  A caller's cap is not certified:
+        :meth:`lower_bound` checks it by LP if the search ends on it.
     timer:
         Optional :class:`Timer` that receives ``lp_bound_build`` /
         ``lp_bound_solve`` measurements (one count per cold build/solve;
-        cache-served queries record nothing).
+        memo-served queries record nothing).
 
     Attributes
     ----------
     builds / solves:
-        Cold-work counters.  The whole point of the oracle is
-        ``builds == 1`` for any number of queries; the legacy path paid
-        one build *per* query.
+        Cold-work counters.  The LP is built on the first query that
+        needs a solve, so ``builds`` is 0 or 1 for any number of queries,
+        and 0 when the counting bound closes the search.
 
     Example
     -------
@@ -117,8 +157,8 @@ class LPBoundOracle:
     >>> inst = poisson_uniform_workload(4, 3.0, 3, seed=0)
     >>> oracle = LPBoundOracle(inst)
     >>> rho = oracle.lower_bound()
-    >>> oracle.builds
-    1
+    >>> oracle.builds, oracle.solves
+    (0, 0)
     """
 
     def __init__(
@@ -128,32 +168,35 @@ class LPBoundOracle:
         rho_cap: Optional[int] = None,
         timer: Optional[Timer] = None,
     ):
-        # Deferred to dodge the repro.lp <-> repro.mrt import cycle: the
-        # mrt modules import repro.lp.model/solver at module level.
-        from repro.mrt.lp_relaxation import build_time_constrained_lp
-        from repro.mrt.time_constrained import from_response_bound
-
         self.instance = instance
         self.backend = backend
         self.timer = timer
         self.builds = 0
         self.solves = 0
         self._feasible: Dict[int, bool] = {}
+        self._lp = None
+        self._offsets = None
         if instance.num_flows == 0:
             self.rho_cap = 0
-            self._lp = None
-            self._offsets = np.zeros(0, dtype=np.int64)
             return
         if rho_cap is None:
             rho_cap = max_response_time(greedy_earliest_fit(instance))
-            # The greedy schedule certifies feasibility at its own bound.
+            # The greedy schedule certifies feasibility at its own bound;
+            # this memo entry is the only certificate a cap gets for free.
             self._feasible[rho_cap] = True
         self.rho_cap = int(rho_cap)
-        with _measure(timer, "lp_bound_build"):
+
+    def _build(self) -> None:
+        # Deferred to dodge the repro.lp <-> repro.mrt import cycle: the
+        # mrt modules import repro.lp.model/solver at module level.
+        from repro.mrt.lp_relaxation import build_time_constrained_lp
+        from repro.mrt.time_constrained import from_response_bound
+
+        with _measure(self.timer, "lp_bound_build"):
             self._lp = build_time_constrained_lp(
-                from_response_bound(instance, self.rho_cap)
+                from_response_bound(self.instance, self.rho_cap)
             )
-            releases = instance.releases()
+            releases = self.instance.releases()
             # offsets[j] = t - r_e for column j = ("x", fid, t): a column
             # is alive under response bound rho iff its offset < rho.
             self._offsets = np.fromiter(
@@ -167,8 +210,8 @@ class LPBoundOracle:
         """Whether LP (19)–(21) with response bound ``rho`` is feasible.
 
         Answers from the per-ρ memo when possible; otherwise restricts
-        the prebuilt model by fixing out-of-window variables to zero and
-        solves.  Equivalent to
+        the model (built at ``rho_cap`` on the first solve) by fixing
+        out-of-window variables to zero and solves.  Equivalent to
         ``is_fractionally_feasible(from_response_bound(instance, rho))``
         without the per-query model build.
         """
@@ -185,6 +228,8 @@ class LPBoundOracle:
         hit = self._feasible.get(rho)
         if hit is not None:
             return hit
+        if self._lp is None:
+            self._build()
         self._lp.set_upper_bounds(
             np.where(self._offsets < rho, np.inf, 0.0)
         )
@@ -198,20 +243,41 @@ class LPBoundOracle:
     def lower_bound(self) -> int:
         """Binary-searched ρ*: the smallest fractionally feasible bound.
 
-        Identical search (same probe sequence, same invariant ``hi``
-        feasible / ``lo - 1`` infeasible) as the legacy cold loop in
-        :func:`repro.mrt.algorithm.fractional_mrt_lower_bound`, so the
-        returned value is bit-identical to the rebuild-per-step path.
+        Bisects ``[max(1, floor), rho_cap]``, where the floor is
+        :func:`counting_lower_bound`, with the invariant ``hi`` feasible /
+        ``lo - 1`` infeasible.  Feasibility is monotone in ρ, so the
+        result equals a search from 1; the probe sequence is shorter,
+        and empty when the floor meets the cap.  The search ends on a
+        feasible probe or on the cap; a cap the oracle did not certify
+        itself is solved there once.
+
+        Raises
+        ------
+        ValueError
+            If the cap lies below the floor, or the search ends on an
+            uncertified cap whose LP is infeasible: either way ρ* exceeds
+            the caller's ``rho_upper``.
         """
         if self.instance.num_flows == 0:
             return 0
-        lo, hi = 1, self.rho_cap
+        floor = counting_lower_bound(self.instance)
+        if floor > self.rho_cap:
+            raise ValueError(
+                f"rho_upper {self.rho_cap} is below the port-load lower "
+                f"bound {floor} on rho*"
+            )
+        lo, hi = floor, self.rho_cap
         while lo < hi:
             mid = (lo + hi) // 2
             if self.is_feasible(mid):
                 hi = mid
             else:
                 lo = mid + 1
+        if not self._feasible.get(lo) and not self.is_feasible(lo):
+            raise ValueError(
+                f"LP (19)-(21) is infeasible at rho_upper {lo}, so rho* "
+                f"exceeds it"
+            )
         return lo
 
 
@@ -228,7 +294,8 @@ def mrt_lower_bound(
     repeated calls for an identical instance in one process return the
     memoised answer without touching the LP backend.  ``use_cache=False``
     (the Runner's ``--no-cache`` semantics) recomputes but still
-    refreshes the memo.
+    refreshes the memo.  A ``rho_upper`` below ρ* raises ``ValueError``
+    (see :meth:`LPBoundOracle.lower_bound`).
     """
     if instance.num_flows == 0:
         return 0

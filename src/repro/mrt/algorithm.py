@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
-from repro.core.metrics import max_response_time
 from repro.core.schedule import Schedule
 from repro.lp.bounds import LPBoundOracle
 from repro.mrt.rounding import RoundingResult, round_time_constrained
@@ -66,9 +64,9 @@ def solve_mrt(
     backend:
         LP backend (see :func:`repro.lp.solver.solve_lp`).
     rho_upper:
-        Optional known-feasible upper bound on ρ; defaults to the greedy
-        earliest-fit schedule's max response (always feasible, so the
-        search window ``[1, rho_upper]`` is valid).
+        Optional upper bound on ρ; defaults to the greedy earliest-fit
+        schedule's max response, which certifies itself.  A caller's
+        bound is checked instead: one below ρ* raises ``ValueError``.
 
     Returns
     -------
@@ -80,12 +78,9 @@ def solve_mrt(
         empty = Schedule(instance, np.zeros(0, dtype=np.int64))
         return MRTResult(0, empty, 0, 0, 0, 0)
 
-    if rho_upper is None:
-        greedy = greedy_earliest_fit(instance)
-        rho_upper = max_response_time(greedy)
-
-    # The oracle builds LP (19)-(21) once at rho_upper; each search step
-    # only toggles the rho-dependent variable bounds before solving.
+    # The oracle starts the search at the port-load floor and builds
+    # LP (19)-(21) only if a probe needs a solve; each probe only toggles
+    # the rho-dependent variable bounds of that one model.
     oracle = LPBoundOracle(instance, backend=backend, rho_cap=rho_upper)
     rho = oracle.lower_bound()
     lp_solves = oracle.solves
@@ -94,13 +89,10 @@ def solve_mrt(
         from_response_bound(instance, rho), backend=backend
     )
     lp_solves += rounding.iterations
-    if not rounding.feasible or rounding.schedule is None:
-        # rho_upper is feasible by construction, so this cannot happen
-        # unless the caller passed an infeasible rho_upper.
-        raise RuntimeError(
-            f"LP infeasible at rho={rho} despite feasible upper bound "
-            f"{rho_upper}; was rho_upper valid?"
-        )
+    if not rounding.feasible or rounding.schedule is None:  # pragma: no cover
+        # The oracle certified LP (19)-(21) feasible at rho, so the
+        # rounding's first LP is feasible too.
+        raise RuntimeError(f"LP infeasible at certified rho={rho}")
     return MRTResult(
         rho=rho,
         schedule=rounding.schedule,
@@ -131,10 +123,11 @@ def fractional_mrt_lower_bound(
 ) -> int:
     """Just the binary-searched LP lower bound ρ* (Figure 7 baseline).
 
-    Delegates to :class:`repro.lp.bounds.LPBoundOracle`: the LP is built
-    once and only its ρ-dependent bounds change across the search, which
-    returns the same ρ* as the legacy rebuild-per-step loop.  Callers
-    that want in-process memoisation across repeated queries should use
+    Delegates to :class:`repro.lp.bounds.LPBoundOracle`: the search
+    starts at the port-load floor, the LP is built at most once and only
+    its ρ-dependent bounds change across the search, and a
+    ``rho_upper`` below ρ* raises ``ValueError``.  Callers that want
+    in-process memoisation across repeated queries should use
     :func:`repro.lp.bounds.mrt_lower_bound` instead.
     """
     if instance.num_flows == 0:

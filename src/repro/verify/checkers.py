@@ -398,7 +398,9 @@ def _oracle_bound(name: str, instance: Instance, params: Mapping[str, Any]):
     Honors the parameters that change the bound's value (the ART LP
     horizon, the MRT search cap); both oracles are digest-memoised in
     :mod:`repro.lp.bounds`, so repeated certification of one instance
-    does no extra LP work.
+    does no extra LP work.  The MRT cap is checked, not trusted: a
+    ``rho_upper`` below ρ* raises ``ValueError`` instead of coming back
+    as the bound.
     """
     from repro.lp.bounds import art_lower_bound, mrt_lower_bound
 

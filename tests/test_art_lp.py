@@ -14,9 +14,83 @@ from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import total_response_time
 from repro.core.switch import Switch
+from repro.lp.model import LinearProgram, Sense
 from repro.lp.solver import solve_lp
 from repro.mrt.exact import exact_min_total_response
-from tests.conftest import unit_instances
+from tests.conftest import capacitated_instances, unit_instances
+
+
+def full_horizon_lp(inst, horizon):
+    """LP (1)-(4) with every round ``r_e <= t < horizon`` for every flow."""
+    sw = inst.switch
+    lp = LinearProgram()
+    rows = {}
+    for f in inst.flows:
+        coeffs = {}
+        for t in range(f.release, horizon):
+            name = ("b", f.fid, t)
+            lp.add_variable(
+                name,
+                objective=(t - f.release) / f.demand
+                + 1.0 / (2.0 * sw.kappa(f.src, f.dst)),
+            )
+            coeffs[name] = 1.0
+            rows.setdefault(("in", f.src, t), {})[name] = 1.0
+            rows.setdefault(("out", f.dst, t), {})[name] = 1.0
+        lp.add_constraint(("flow", f.fid), coeffs, Sense.GE, float(f.demand))
+    for (side, p, t), coeffs in rows.items():
+        cap = sw.input_capacity(p) if side == "in" else sw.output_capacity(p)
+        lp.add_constraint(("cap", side, p, t), coeffs, Sense.LE, float(cap))
+    return lp
+
+
+def window_ends(inst, horizon):
+    """``min(H, r_e + floor(D_src/c_src) + floor(D_dst/c_dst) + 1)``."""
+    sw = inst.switch
+    d_in = [0] * sw.num_inputs
+    d_out = [0] * sw.num_outputs
+    for f in inst.flows:
+        d_in[f.src] += f.demand
+        d_out[f.dst] += f.demand
+    return [
+        min(
+            horizon,
+            f.release
+            + d_in[f.src] // sw.input_capacity(f.src)
+            + d_out[f.dst] // sw.output_capacity(f.dst)
+            + 1,
+        )
+        for f in inst.flows
+    ]
+
+
+def check_windows_keep_optimum(inst):
+    """The windowed LP's optimum is the full-horizon one's, and the
+    full-horizon optimum puts no mass outside the windows."""
+    if inst.num_flows == 0:
+        return
+    for horizon in (None, inst.compact_horizon_bound()):
+        if horizon is None:
+            windowed = build_fractional_art_lp(inst)
+            horizon = inst.horizon_bound()
+        else:
+            windowed = build_fractional_art_lp(inst, horizon)
+        ends = window_ends(inst, horizon)
+        assert windowed.variable_names == [
+            ("b", f.fid, t)
+            for f in inst.flows
+            for t in range(f.release, ends[f.fid])
+        ]
+        full = full_horizon_lp(inst, horizon)
+        full_result = solve_lp(full)
+        value = solve_lp(windowed).objective
+        assert value == pytest.approx(full_result.objective, rel=1e-9)
+        outside = sum(
+            x
+            for (_b, fid, t), x in zip(full.variable_names, full_result.x)
+            if t >= ends[fid]
+        )
+        assert outside <= 1e-9
 
 
 class TestLPConstruction:
@@ -35,6 +109,16 @@ class TestLPConstruction:
         c = lp.objective_vector()
         assert c[lp.var(("b", 0, 1))] == pytest.approx(0.0 / 2 + 0.25)
         assert c[lp.var(("b", 0, 2))] == pytest.approx(1.0 / 2 + 0.25)
+
+    def test_windows_follow_port_loads(self):
+        # Port 0 carries 3 unit flows, so flow 0 may wait floor(3/1) = 3
+        # rounds at its input and floor(1/1) = 1 at its output.
+        inst = Instance.create(
+            Switch.create(3), [Flow(0, 0), Flow(0, 1), Flow(0, 2)]
+        )
+        lp = build_fractional_art_lp(inst, horizon=20)
+        assert lp.has_var(("b", 0, 4)) and not lp.has_var(("b", 0, 5))
+        assert build_fractional_art_lp(inst, horizon=3).num_vars == 9
 
     def test_horizon_must_cover_releases(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 0, 1, 5)])
@@ -101,3 +185,17 @@ class TestLowerBound:
             inst, horizon=inst.compact_horizon_bound()
         )
         assert compact == pytest.approx(full, abs=1e-6)
+
+
+class TestFlowWindows:
+    """Per-flow windows leave LP (1)-(4)'s optimum unchanged."""
+
+    @given(unit_instances(max_ports=3, max_flows=6))
+    @settings(max_examples=25, deadline=None)
+    def test_unit_instances(self, inst):
+        check_windows_keep_optimum(inst)
+
+    @given(capacitated_instances(max_ports=3, max_flows=6))
+    @settings(max_examples=25, deadline=None)
+    def test_capacitated_instances(self, inst):
+        check_windows_keep_optimum(inst)

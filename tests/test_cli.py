@@ -150,6 +150,14 @@ class TestCommands:
         with pytest.raises(SystemExit, match="bogus"):
             main(["solve", str(trace), "--solver", "Greedy", "-p", "bogus=1"])
 
+    def test_solve_mrt_cap_below_rho_star_exits_cleanly(self, tmp_path):
+        path = tmp_path / "t.json"
+        main(["generate", str(path), "--ports", "6", "--mean", "5",
+              "--rounds", "4", "--seed", "3"])
+        with pytest.raises(SystemExit, match="error: rho_upper 1 .* bound 4"):
+            main(["solve", str(path), "--solver", "FS-MRT",
+                  "-p", "rho_upper=1"])
+
     def test_missing_trace_exits_cleanly(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         for argv in (["solve", missing],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.art.lp_relaxation import art_lp_lower_bound
+from repro.core.flow import Flow
 from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
@@ -13,9 +14,11 @@ from repro.lp.bounds import (
     art_lower_bound,
     cache_stats,
     clear_bound_caches,
+    counting_lower_bound,
     mrt_lower_bound,
 )
 from repro.mrt.algorithm import fractional_mrt_lower_bound
+from repro.mrt.exact import exact_min_max_response
 from repro.mrt.lp_relaxation import is_fractionally_feasible
 from repro.mrt.time_constrained import from_response_bound
 from repro.utils.timing import Timer
@@ -32,7 +35,54 @@ def fresh_caches():
 
 @pytest.fixture(scope="module")
 def instance():
+    # The counting floor (4) meets the greedy cap (4): rho* = 4 needs no LP.
     return poisson_uniform_workload(6, 5.0, 4, seed=3)
+
+
+@pytest.fixture(scope="module")
+def open_instance():
+    # The counting floor (3) is below the greedy cap (5): the search solves.
+    return poisson_uniform_workload(4, 3.0, 3, seed=4)
+
+
+@pytest.fixture(scope="module")
+def gap_instance():
+    """The counting floor (2) is below rho* (3).
+
+    Under rho = 2 the three demand-2 flows fill output 1 in rounds 0
+    and 1, so the round-1 flow into output 1 moves to round 2, and
+    input 0 (capacity 1) must then carry three flows in rounds 2 and 3.
+    """
+    switch = Switch.create(2, 2, [1, 3], [1, 3])
+    flows = [Flow(1, 1, 2, 0)] * 3 + [
+        Flow(0, 0, 1, 2), Flow(0, 1, 1, 2), Flow(0, 1, 1, 1),
+    ]
+    return Instance.create(switch, flows)
+
+
+def rho_star_from_one(inst):
+    """rho* by a linear scan from 1 over cold LP (19)-(21) builds."""
+    rho = 1
+    while not is_fractionally_feasible(from_response_bound(inst, rho)):
+        rho += 1
+    return rho
+
+
+def literal_floor(inst):
+    """The counting bound over every (port, a, b), written as a loop."""
+    sw = inst.switch
+    best = 1
+    for side, caps in (("src", sw.input_capacities),
+                       ("dst", sw.output_capacities)):
+        for p, cap in enumerate(caps.tolist()):
+            for a in range(inst.max_release + 1):
+                for b in range(a, inst.max_release + 1):
+                    demand = sum(
+                        f.demand for f in inst.flows
+                        if getattr(f, side) == p and a <= f.release <= b
+                    )
+                    best = max(best, -(-demand // cap) - (b - a))
+    return best
 
 
 class TestLPBoundOracle:
@@ -87,8 +137,15 @@ class TestLPBoundOracle:
         timer = Timer()
         oracle = LPBoundOracle(instance, timer=timer)
         oracle.lower_bound()
-        assert timer.counts["lp_bound_build"] == 1
+        assert timer.counts.get("lp_bound_build", 0) == oracle.builds
         assert timer.counts.get("lp_bound_solve", 0) == oracle.solves
+
+    def test_timer_counts_open_search(self, open_instance):
+        timer = Timer()
+        oracle = LPBoundOracle(open_instance, timer=timer)
+        oracle.lower_bound()
+        assert timer.counts["lp_bound_build"] == oracle.builds == 1
+        assert timer.counts["lp_bound_solve"] == oracle.solves > 0
 
     # The autouse cache-reset fixture is function-scoped; the oracle under
     # test is constructed fresh per example, so per-example reset is moot.
@@ -120,6 +177,94 @@ class TestLPBoundOracle:
         assert LPBoundOracle(inst).lower_bound() == (
             fractional_mrt_lower_bound(inst)
         )
+
+
+class TestCountingBound:
+    def test_hand_computed_floors(self):
+        sw = Switch.create(2)
+        burst = Instance.create(sw, [Flow(0, 0), Flow(0, 1), Flow(0, 0)])
+        assert counting_lower_bound(burst) == 3
+        spread = Instance.create(
+            sw, [Flow(0, 0, 1, 0), Flow(0, 1, 1, 1), Flow(0, 0, 1, 2)]
+        )
+        assert counting_lower_bound(spread) == 1
+        # Demand 5 on a capacity-2 output within one round: ceil(5/2).
+        wide = Switch.create(2, 1, [3, 3], [2])
+        assert counting_lower_bound(
+            Instance.create(wide, [Flow(0, 0, 2), Flow(1, 0, 2), Flow(0, 0, 1)])
+        ) == 3
+        assert counting_lower_bound(Instance.create(sw, [])) == 0
+
+    @given(unit_instances(max_ports=3, max_flows=8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_literal_loop_unit(self, inst):
+        if inst.num_flows:
+            assert counting_lower_bound(inst) == literal_floor(inst)
+
+    @given(capacitated_instances(max_ports=3, max_flows=8, max_capacity=4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_literal_loop_capacitated(self, inst):
+        if inst.num_flows:
+            assert counting_lower_bound(inst) == literal_floor(inst)
+
+    @given(unit_instances(max_ports=3, max_flows=6))
+    @settings(max_examples=25, deadline=None)
+    def test_property_floor_below_rho_star_unit(self, inst):
+        if inst.num_flows == 0:
+            return
+        rho_star = rho_star_from_one(inst)
+        assert counting_lower_bound(inst) <= rho_star
+        assert rho_star <= exact_min_max_response(inst)
+
+    @given(capacitated_instances(max_ports=3, max_flows=6, max_capacity=4))
+    @settings(max_examples=25, deadline=None)
+    def test_property_floor_below_rho_star_capacitated(self, inst):
+        if inst.num_flows:
+            assert counting_lower_bound(inst) <= rho_star_from_one(inst)
+
+    def test_floor_can_be_below_rho_star(self, gap_instance):
+        assert counting_lower_bound(gap_instance) == 2
+        assert rho_star_from_one(gap_instance) == 3
+        assert LPBoundOracle(gap_instance).lower_bound() == 3
+
+    def test_closed_search_does_no_lp_work(self, instance):
+        oracle = LPBoundOracle(instance)
+        assert counting_lower_bound(instance) == oracle.rho_cap
+        assert oracle.lower_bound() == rho_star_from_one(instance)
+        assert (oracle.builds, oracle.solves) == (0, 0)
+
+    def test_open_search_builds_once(self, open_instance):
+        oracle = LPBoundOracle(open_instance)
+        assert counting_lower_bound(open_instance) < oracle.rho_cap
+        assert oracle.lower_bound() == rho_star_from_one(open_instance)
+        assert oracle.builds == 1
+        assert oracle.solves >= 1
+
+
+class TestCallerCap:
+    """A caller's rho_upper is checked, never trusted as feasible."""
+
+    def test_cap_below_floor_rejected(self, instance):
+        with pytest.raises(ValueError, match="rho_upper 1 .* bound 4"):
+            mrt_lower_bound(instance, rho_upper=1, use_cache=False)
+        with pytest.raises(ValueError, match="rho_upper 2 .* bound 4"):
+            fractional_mrt_lower_bound(instance, rho_upper=2)
+
+    def test_infeasible_cap_above_floor_rejected(self, gap_instance):
+        oracle = LPBoundOracle(gap_instance, rho_cap=2)
+        with pytest.raises(ValueError, match="infeasible at rho_upper 2"):
+            oracle.lower_bound()
+        assert oracle.solves == 1
+
+    def test_feasible_cap_is_solved_once(self, instance):
+        # Floor 4 meets the caller's cap 4; only the cap's LP is solved.
+        oracle = LPBoundOracle(instance, rho_cap=4)
+        assert oracle.lower_bound() == 4
+        assert (oracle.builds, oracle.solves) == (1, 1)
+
+    def test_loose_cap_gives_rho_star(self, gap_instance):
+        assert mrt_lower_bound(gap_instance, rho_upper=9) == 3
+        assert fractional_mrt_lower_bound(gap_instance, rho_upper=3) == 3
 
 
 class TestDigestMemo:
@@ -205,3 +350,63 @@ class TestDigestMemo:
         finally:
             bounds_module.CACHE_LIMIT = old_limit
         assert failures == []
+
+
+#: rho* and the LP (1)-(4) optimum (compact horizon) of fig-lp-shaped
+#: instances: ``poisson_uniform_workload(12, 12 * load, 6, seed)`` for
+#: seeds 0-11, as (seed, flows, rho*, LP value).  Recorded with LP (1)-(4)
+#: on every round of the horizon and rho* searched from 1.
+GOLDEN = {
+    1 / 3: [
+        (0, 20, 3, 15.0),
+        (1, 25, 3, 21.5),
+        (2, 24, 3, 19.0),
+        (3, 22, 2, 16.0),
+        (4, 34, 3, 39.0),
+        (5, 24, 2, 17.0),
+        (6, 23, 2, 16.5),
+        (7, 27, 2, 22.5),
+        (8, 23, 3, 21.5),
+        (9, 30, 4, 36.0),
+        (10, 30, 3, 34.0),
+        (11, 24, 2, 16.0),
+    ],
+    1.0: [
+        (0, 75, 7, 151.5),
+        (1, 73, 7, 138.5),
+        (2, 68, 8, 149.0),
+        (3, 65, 7, 114.5),
+        (4, 105, 9, 273.5),
+        (5, 67, 6, 111.5),
+        (6, 71, 7, 158.5),
+        (7, 71, 7, 136.5),
+        (8, 62, 6, 106.0),
+        (9, 72, 7, 165.0),
+        (10, 85, 6, 182.5),
+        (11, 70, 8, 148.0),
+    ],
+    2.0: [
+        (0, 149, 14, 638.5000000000003),
+        (1, 145, 13, 618.4999999999998),
+        (2, 138, 14, 576.0),
+        (3, 135, 11, 514.5),
+        (4, 192, 19, 1185.9999999999995),
+        (5, 139, 11, 541.5),
+        (6, 142, 13, 629.9999999999997),
+        (7, 143, 13, 627.4999999999997),
+        (8, 130, 13, 530.9999999999997),
+        (9, 142, 14, 641.0000000000003),
+        (10, 166, 15, 894.0000000000007),
+        (11, 140, 13, 566.9999999999993),
+    ],
+}
+
+
+@pytest.mark.parametrize("load", sorted(GOLDEN))
+def test_golden_values(load):
+    for seed, flows, rho_star, lp_value in GOLDEN[load]:
+        inst = poisson_uniform_workload(12, 12 * load, 6, seed=seed)
+        assert inst.num_flows == flows
+        assert mrt_lower_bound(inst) == rho_star
+        value = art_lower_bound(inst, horizon=inst.compact_horizon_bound())
+        assert value == pytest.approx(lp_value, rel=1e-9)

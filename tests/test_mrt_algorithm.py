@@ -46,7 +46,7 @@ class TestSolveMRT:
 
     def test_invalid_rho_upper_detected(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 0), Flow(0, 1)])
-        with pytest.raises(RuntimeError, match="rho_upper"):
+        with pytest.raises(ValueError, match="rho_upper"):
             solve_mrt(inst, rho_upper=1)
 
     @given(unit_instances(max_flows=7))

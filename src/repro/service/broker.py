@@ -22,6 +22,12 @@ store itself as fallback: if another broker consumed a shared done
 marker first, the record's appearance in the store still settles the
 waiters.  Per-request timeouts detach the waiter only — the solve keeps
 running and lands in the store for the next request.
+
+With a co-located :class:`~repro.service.worker.WorkerPool` wired in
+through :meth:`SolveBroker.connect`, the broker rings the pool's work
+doorbell after each enqueue and sweeps as soon as a worker rings the
+done doorbell; every sweep still reads the same done markers and store,
+so a ring changes when settlement happens, never how.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.service.protocol import (
     SolveResponse,
     error_response,
 )
+from repro.service.worker import Doorbell
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,11 @@ class BrokerConfig:
     #: :func:`repro.verify.certify_solve` before the store put) and
     #: record-check cache hits before serving them.
     verify: bool = False
-    #: Reaper cadence: how often done markers and the store are polled.
+    #: Reaper fallback cadence: the longest gap between two sweeps of
+    #: the done markers and the store.  A connected worker pool's done
+    #: doorbell triggers a sweep sooner; the cadence is what settles
+    #: work finished by ``--join`` workers or for other brokers.  It is
+    #: also the grace a stored record gets for its done marker.
     poll_interval: float = 0.02
     #: Age (seconds) after which unclaimed done markers are swept.
     done_ttl: float = 300.0
@@ -72,7 +83,7 @@ class BrokerConfig:
 class _Pending:
     """One in-flight key: the shared future and its bookkeeping."""
 
-    __slots__ = ("key", "solver", "digest", "future", "waiters", "store_hits")
+    __slots__ = ("key", "solver", "digest", "future", "waiters", "stored_at")
 
     def __init__(self, key: str, solver: str, digest: str, future):
         self.key = key
@@ -80,7 +91,8 @@ class _Pending:
         self.digest = digest
         self.future = future
         self.waiters = 0
-        self.store_hits = 0
+        #: Loop time of the first sweep that found the stored record.
+        self.stored_at: Optional[float] = None
 
 
 class SolveBroker:
@@ -105,7 +117,13 @@ class SolveBroker:
         self.pending: Dict[str, _Pending] = {}
         self.draining = False
         self._reaper: Optional[asyncio.Task] = None
-        self._sweep_in = 0
+        #: What the reaper awaits: resolved by a done ring or its timer.
+        self._wake: Optional[asyncio.Future] = None
+        #: A connected pool's doorbells (see :meth:`connect`).
+        self._work: Optional[Doorbell] = None
+        self._done: Optional[Doorbell] = None
+        #: Loop time of the next collection of ownerless done markers.
+        self._collect_at = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -154,8 +172,24 @@ class SolveBroker:
                 return False
             await asyncio.sleep(self.config.poll_interval)
 
+    def connect(self, work: Doorbell, done: Doorbell) -> None:
+        """Wire in a co-located worker pool's doorbells (on the loop).
+
+        From now on every enqueue rings ``work``, and a ring of ``done``
+        runs the completion sweep at once instead of at the next poll.
+        """
+        asyncio.get_running_loop().add_reader(done.fileno(), self._on_done)
+        self._work, self._done = work, done
+
+    def disconnect(self) -> None:
+        """Unwire the pool's doorbells; call before the pool closes them."""
+        if self._done is not None:
+            asyncio.get_running_loop().remove_reader(self._done.fileno())
+        self._work = self._done = None
+
     async def stop(self) -> None:
         """Cancel the reaper and release the store."""
+        self.disconnect()
         if self._reaper is not None:
             self._reaper.cancel()
             try:
@@ -273,6 +307,9 @@ class SolveBroker:
                         "message": f"could not enqueue job: {exc}",
                     },
                 })
+            else:
+                if self._work is not None:
+                    self._work.ring()
 
         entry.waiters += 1
         timeout = (
@@ -464,6 +501,7 @@ class SolveBroker:
 
     def _reap_once(self) -> None:
         """One completion sweep: done markers first, store as fallback."""
+        now = asyncio.get_running_loop().time()
         queue = self.queue
         done = set(queue.done_keys())
         for key in list(self.pending):
@@ -479,12 +517,14 @@ class SolveBroker:
                 record = self.store.lookup(key)
                 if record is None:
                     continue
-                # The record can land one tick before its done marker
-                # (store put happens first); give the marker — which
-                # carries timings and the certified stamp — one poll
-                # interval to show up before settling from the store.
-                entry.store_hits += 1
-                if entry.store_hits >= 2:
+                # The record lands before its done marker (the worker
+                # puts, then publishes), and only the marker carries the
+                # timings and the certified stamp.  Give the marker one
+                # poll interval of loop time, however many rings sweep
+                # in between, before settling from the store.
+                if entry.stored_at is None:
+                    entry.stored_at = now
+                elif now - entry.stored_at >= self.config.poll_interval:
                     self._settle(key, {
                         "ok": True,
                         "key": key,
@@ -495,17 +535,43 @@ class SolveBroker:
                         "timings": {},
                     })
         self.metrics.gauge("repro_store_records", float(len(self.store)))
-        self._sweep_in -= 1
-        if self._sweep_in <= 0:
-            # Roughly once per done_ttl: collect markers no broker owns.
-            self._sweep_in = max(
-                1, int(self.config.done_ttl / max(self.config.poll_interval, 1e-3))
-            )
+        if now >= self._collect_at:
+            # Once per done_ttl: collect markers no broker owns.
+            self._collect_at = now + self.config.done_ttl
             self.queue.sweep_done(self.config.done_ttl)
 
+    def _on_done(self) -> None:
+        """Reader callback of the done doorbell: wake the reaper now."""
+        self._done.drain()
+        if self._wake is not None:
+            _resolve(self._wake, "ring")
+
     async def _reap_loop(self) -> None:
+        """Sweep on every done ring, and at least every poll interval.
+
+        Each round awaits a future that either :meth:`_on_done` or a
+        ``call_later`` timer resolves, then runs :meth:`_reap_once`, the
+        one settlement path.  The rounds run every poll interval even
+        when idle, so each is kept to one future and one timer handle
+        (``asyncio.wait_for`` on an event would add a task and a timeout
+        per round).  ``repro_reaper_sweeps_total`` counts the rounds by
+        trigger.
+        """
+        loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.config.poll_interval)
+            self._wake = loop.create_future()
+            timer = loop.call_later(
+                self.config.poll_interval, _resolve, self._wake, "timer"
+            )
+            try:
+                trigger = await self._wake
+            finally:
+                timer.cancel()
+            self.metrics.counter(
+                "repro_reaper_sweeps_total", trigger=trigger,
+                help="completion sweeps by trigger: a worker's done ring "
+                "or the poll timer",
+            )
             try:
                 self._reap_once()
             except Exception as exc:  # pragma: no cover - defensive
@@ -516,6 +582,12 @@ class SolveBroker:
                     help="exceptions swallowed by the completion reaper",
                     kind=type(exc).__name__,
                 )
+
+
+def _resolve(future: asyncio.Future, trigger: str) -> None:
+    """Wake the reaper with ``trigger`` unless something already did."""
+    if not future.done():
+        future.set_result(trigger)
 
 
 def _materialize(request: SolveRequest):

@@ -102,6 +102,7 @@ class SolveService:
     async def start(self) -> None:
         await self.broker.start()
         if self.pool is not None:
+            self.broker.connect(self.pool.work, self.pool.done)
             self.pool.start()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
@@ -116,6 +117,7 @@ class SolveService:
             self._server = None
         await self.broker.drain(timeout=drain_timeout)
         if self.pool is not None:
+            self.broker.disconnect()
             self.pool.stop()
             self.pool = None
         await self.broker.stop()

@@ -11,17 +11,27 @@ coordination protocol, which is what turns ``repro serve --join
 
 :class:`WorkerPool` runs N such loops as daemon processes (real
 parallelism for CPU-bound LP solves) or threads (cheap, deterministic
-test fixtures); both share one stop event and drain cleanly: a stopping
-worker finishes the job it claimed — never abandoning a claim — then
-flushes and closes its shard.
+test fixtures); both share one lock-free stop flag and drain cleanly: a
+stopping worker finishes the job it claimed — never abandoning a claim —
+then flushes and closes its shard.
+
+Within a pool, two :class:`Doorbell` pipes replace most of the polling.
+A co-located broker rings the pool's *work* bell after each enqueue,
+which wakes idle workers at once; each worker rings the *done* bell
+after publishing a done marker, which the broker's event loop watches.
+A ring only says "look now": the queue scan at ``poll_interval`` stays
+the durable path, and the only one that ``--join`` workers in other
+processes, other brokers and crash recovery see.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import socket
 import threading
+import time
 from typing import Callable, List, Optional
 
 from repro.service.jobs import DEFAULT_CLAIM_TIMEOUT, Job, JobQueue
@@ -129,6 +139,77 @@ def _run_job(job: Job, store) -> dict:
         }
 
 
+class Doorbell:
+    """A wake-up hint across threads and processes: a one-byte pipe write.
+
+    :meth:`ring` writes one byte into a non-blocking pipe and never
+    blocks: when the pipe is full, a ring is already pending and the
+    byte is dropped.  :meth:`wait` sleeps in ``select`` until a ring or
+    its timeout and, when rung, drains every pending byte (an idle
+    timeout costs no read).  Neither side takes a lock, so a peer
+    SIGKILLed while ringing or waiting leaves nothing held, and a bell
+    nobody reads (a ``--join`` pool's done bell) costs its ringers
+    nothing.
+
+    The two ends are :class:`multiprocessing.connection.Connection`
+    objects, so a doorbell passed to a :class:`multiprocessing.Process`
+    as an argument reaches the child under fork, spawn and forkserver
+    alike.  Holding both ends in every process that holds the bell
+    means the read end never sees end-of-file while the bell is open.
+    """
+
+    def __init__(self) -> None:
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        os.set_blocking(self._reader.fileno(), False)
+        os.set_blocking(self._writer.fileno(), False)
+
+    def fileno(self) -> int:
+        """The read end, for ``select`` or ``loop.add_reader``."""
+        return self._reader.fileno()
+
+    def ring(self) -> None:
+        """Wake the waiters; returns at once, even when nobody reads."""
+        try:
+            os.write(self._writer.fileno(), b"\0")
+        except BlockingIOError:
+            pass  # pipe full: a ring is already pending
+
+    def wait(self, timeout: float) -> None:
+        """Return after a ring or ``timeout`` seconds, rings drained."""
+        if select.select([self._reader], [], [], timeout)[0]:
+            self.drain()
+
+    def drain(self) -> None:
+        """Consume every pending ring without blocking."""
+        try:
+            while os.read(self._reader.fileno(), 4096):
+                pass
+        except BlockingIOError:
+            pass  # empty
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
+class _StopFlag:
+    """A stop flag shared with process workers: one byte, no lock.
+
+    Not a ``multiprocessing.Event``: its ``set()`` notifies a condition
+    variable and then waits for every registered sleeper to wake, so a
+    worker SIGKILLed while asleep would block ``set()`` forever.
+    """
+
+    def __init__(self) -> None:
+        self._value = multiprocessing.RawValue("b", 0)
+
+    def set(self) -> None:
+        self._value.value = 1
+
+    def is_set(self) -> bool:
+        return bool(self._value.value)
+
+
 def worker_loop(
     cache_dir: str,
     stop,
@@ -137,15 +218,22 @@ def worker_loop(
     poll_interval: float = 0.05,
     claim_timeout: float = DEFAULT_CLAIM_TIMEOUT,
     on_job: Optional[Callable[[Job], None]] = None,
+    wake: Optional[Doorbell] = None,
+    done: Optional[Doorbell] = None,
 ) -> int:
     """Claim-and-solve until ``stop`` is set; returns jobs completed.
 
-    ``stop`` is any object with ``is_set()`` / ``wait(timeout)`` —
-    ``threading.Event`` and ``multiprocessing.Event`` both qualify, so
-    the same loop body serves thread workers, process workers, and the
-    ``--join`` CLI.  An idle pass (nothing claimable) sleeps
-    ``poll_interval`` on the event, so stopping is prompt.  ``on_job``
-    is a test hook observing each claimed job *before* it runs.
+    ``stop`` is any object with ``is_set()`` — a ``threading.Event``,
+    or the pool's shared flag — checked before every scan and every
+    claim, so the same loop body serves thread workers, process
+    workers, and the ``--join`` CLI.  An idle pass (nothing claimable)
+    waits up to ``poll_interval`` for a ring of ``wake`` (the pool's
+    work bell, rung after each enqueue and on stop), then scans again;
+    without a bell it sleeps ``poll_interval``.  A stopping worker rings
+    ``wake`` once more on its way out, so every idle peer wakes to the
+    stop.  After publishing each done marker the loop rings ``done``,
+    the pool's completion bell.  ``on_job`` is a test hook observing
+    each claimed job *before* it runs.
 
     The worker opens its own private :class:`~repro.api.store.
     ResultStore` (one shard per worker) and closes it on the way out —
@@ -172,27 +260,25 @@ def worker_loop(
                 outcome = execute_job(job, store)
                 outcome["worker"] = me
                 queue.complete(key, outcome)
+                if done is not None:
+                    done.ring()
                 completed += 1
                 progressed = True
-            if not progressed:
-                stop.wait(poll_interval)
+            if progressed:
+                continue
+            if wake is not None:
+                wake.wait(poll_interval)
+            else:
+                time.sleep(poll_interval)
+        if wake is not None:
+            # Pass the stop ring on: this worker's drain may have taken
+            # the ring a peer is still waiting for.
+            wake.ring()
     except KeyboardInterrupt:
         pass  # fall through to the flush below; records survive
     finally:
         store.close()
     return completed
-
-
-def _process_entry(cache_dir, stop, owner, poll_interval, claim_timeout):
-    # Separate module-level entry so spawn-based start methods can
-    # pickle the target.
-    worker_loop(
-        cache_dir,
-        stop,
-        owner=owner,
-        poll_interval=poll_interval,
-        claim_timeout=claim_timeout,
-    )
 
 
 class WorkerPool:
@@ -204,6 +290,17 @@ class WorkerPool:
     ``mode="thread"`` runs them as daemon threads in-process: cheaper to
     spin up and able to share test instrumentation (``on_job``), at the
     cost of the GIL.
+
+    The pool owns two :class:`Doorbell` pipes for its whole life:
+    ``work``, which a co-located broker rings after each enqueue, and
+    ``done``, which every worker rings after each completed job (see
+    :meth:`~repro.service.broker.SolveBroker.connect`).  Its stop flag
+    is a bare shared byte, not a ``multiprocessing.Event``, and
+    :meth:`stop` wakes the workers through ``work``: nothing shared with
+    the workers takes a lock, so a SIGKILLed worker cannot wedge
+    :meth:`stop`.  ``poll_interval`` is each idle worker's fallback
+    cadence when no ring comes.  A stopped pool closes its doorbells and
+    cannot be started again.
     """
 
     def __init__(
@@ -229,37 +326,41 @@ class WorkerPool:
         self.claim_timeout = claim_timeout
         self.on_job = on_job
         self._members: List = []
-        self._stop = (
-            threading.Event() if mode == "thread" else multiprocessing.Event()
-        )
+        self._stop = _StopFlag()
+        self.work = Doorbell()
+        self.done = Doorbell()
 
     def start(self) -> "WorkerPool":
         if self._members:
             raise RuntimeError("worker pool already started")
+        if self._stop.is_set():
+            raise RuntimeError("worker pool already stopped")
+        common = dict(
+            poll_interval=self.poll_interval,
+            claim_timeout=self.claim_timeout,
+            wake=self.work,
+            done=self.done,
+        )
         for i in range(self.workers):
             if self.mode == "thread":
                 member = threading.Thread(
                     target=worker_loop,
                     args=(self.cache_dir, self._stop),
                     kwargs=dict(
+                        common,
                         owner=f"{default_owner()}#w{i}",
-                        poll_interval=self.poll_interval,
-                        claim_timeout=self.claim_timeout,
                         on_job=self.on_job,
                     ),
                     name=f"repro-worker-{i}",
                     daemon=True,
                 )
             else:
+                # The child derives its owner (its own pid); every
+                # argument is pickled under spawn and forkserver.
                 member = multiprocessing.Process(
-                    target=_process_entry,
-                    args=(
-                        self.cache_dir,
-                        self._stop,
-                        None,  # owner derived in the child (its own pid)
-                        self.poll_interval,
-                        self.claim_timeout,
-                    ),
+                    target=worker_loop,
+                    args=(self.cache_dir, self._stop),
+                    kwargs=common,
                     name=f"repro-worker-{i}",
                     daemon=True,
                 )
@@ -273,11 +374,18 @@ class WorkerPool:
         Workers finish the job they are on (claims are never abandoned)
         before exiting; a worker still alive after ``timeout`` seconds
         is abandoned (processes are daemonic, so interpreter exit still
-        reaps it).
+        reaps it).  Then the doorbells are closed, unless an abandoned
+        worker is a thread of this process that may still ring them.
         """
+        if self._stop.is_set():
+            return
         self._stop.set()
+        self.work.ring()  # each stopping worker passes it on
         for member in self._members:
             member.join(timeout=timeout)
+        if self.mode == "process" or self.alive == 0:
+            self.work.close()
+            self.done.close()
         self._members = []
 
     @property

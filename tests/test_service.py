@@ -6,17 +6,27 @@ the end-to-end behaviours the subsystem exists for: digest-coalescing
 (N identical concurrent requests, exactly one solve), admission control
 with ``Retry-After``, structured timeout errors, ``/metrics``
 observability, and multi-pool work stealing with zero duplicate solves.
+The doorbell wake-ups are tested with 30 s poll intervals, so only a
+ring can answer in time, and worker crashes with real SIGKILLs, run in
+subprocesses so that a hang fails its test instead of the suite.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api.store import ResultStore, canonical_key, live_records
 from repro.core.instance import Instance
 from repro.service import (
@@ -36,7 +46,16 @@ from repro.service import (
     parse_metric,
     worker_loop,
 )
+from repro.service.broker import SolveBroker, _Pending
+from repro.service.worker import Doorbell
 from repro.workloads.synthetic import poisson_uniform_workload
+
+#: ``PYTHONPATH`` for subprocesses: the tree this suite imports.
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/fd").is_dir(), reason="needs Linux /proc"
+)
 
 
 def small_instance(seed: int = 0) -> Instance:
@@ -595,3 +614,407 @@ class TestAdmissionAndTimeouts:
                 t.join()
             live = live_records(thread.service.broker.cache_dir)
             assert len(live) == 3
+
+
+# ---------------------------------------------------------------------------
+# Doorbells: wake-ups instead of polls
+# ---------------------------------------------------------------------------
+
+
+def _enqueue_greedy(cache_dir, seeds) -> list:
+    queue = JobQueue(cache_dir)
+    keys = []
+    for seed in seeds:
+        inst = small_instance(seed)
+        key = canonical_key("Greedy", inst.digest(), {})
+        queue.enqueue(Job(key=key, solver="Greedy", instance=inst.to_dict()))
+        keys.append(key)
+    return keys
+
+
+def _fill(bell: Doorbell) -> None:
+    """Write into ``bell`` by hand until its pipe is full."""
+    try:
+        while True:
+            os.write(bell._writer.fileno(), b"\0" * 4096)
+    except BlockingIOError:
+        pass
+
+
+def _readable(bell: Doorbell) -> bool:
+    return bool(select.select([bell.fileno()], [], [], 0)[0])
+
+
+def _waiting(thread: threading.Thread) -> bool:
+    """Whether ``thread`` is inside :meth:`Doorbell.wait`."""
+    frame = sys._current_frames().get(thread.ident)
+    while frame is not None:
+        if frame.f_code is Doorbell.wait.__code__:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def _spawn(*argv: str, **kwargs) -> subprocess.Popen:
+    """Start a fresh interpreter in its own process group."""
+    return subprocess.Popen(
+        [sys.executable, *argv], text=True, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=SRC), **kwargs,
+    )
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL ``proc`` and every worker it left behind."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def _run_script(tmp_path, code: str, *args: str, timeout: float):
+    """Run ``code`` as a script in a fresh interpreter.
+
+    Returns ``(returncode, stdout, stderr)``, or None when the script
+    was still running after ``timeout`` seconds.
+    """
+    script = tmp_path / "script.py"
+    script.write_text(code)
+    proc = _spawn(
+        str(script), *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+        return proc.returncode, out, err
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        _kill_group(proc)
+
+
+def _child_pids(pid: int) -> list:
+    """Live child processes of ``pid``, read from ``/proc``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+class TestDoorbell:
+    def test_ring_into_full_pipe_returns_at_once(self):
+        bell = Doorbell()
+        try:
+            _fill(bell)
+            ringer = threading.Thread(target=bell.ring, daemon=True)
+            ringer.start()
+            ringer.join(10)
+            assert not ringer.is_alive()
+            bell.wait(0)
+            assert not _readable(bell)  # one wait drains every ring
+        finally:
+            bell.close()
+
+
+class TestWakeups:
+    """A 30 s poll interval on both sides: only a ring answers in time."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_fresh_solve_needs_no_poll(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setitem(
+            WorkerPool.__init__.__kwdefaults__, "poll_interval", 30.0
+        )
+        with ServiceThread(
+            str(tmp_path / "cache"), workers=1, worker_mode=mode,
+            config=BrokerConfig(poll_interval=30.0),
+        ) as svc:
+            client = ServiceClient(svc.address, timeout=60.0)
+            response = client.solve(
+                "Greedy", instance=small_instance(90), timeout=5
+            )
+        assert response.ok and response.source == "solved"
+
+    def test_no_lost_wakeups_under_contention(self, tmp_path, monkeypatch):
+        """More workers than cores, tiny switch interval, 30 s polls."""
+        monkeypatch.setitem(
+            WorkerPool.__init__.__kwdefaults__, "poll_interval", 30.0
+        )
+        results = [None] * 24
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceThread(
+                str(tmp_path / "cache"), workers=4, worker_mode="thread",
+                config=BrokerConfig(
+                    poll_interval=30.0, queue_depth=64, solver_cap=64
+                ),
+            ) as svc:
+                client = ServiceClient(svc.address, timeout=60.0)
+
+                def submit(i):
+                    results[i] = client.solve(
+                        "Greedy", instance=small_instance(200 + i), timeout=10
+                    )
+
+                threads = [
+                    threading.Thread(target=submit, args=(i,))
+                    for i in range(len(results))
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert all(r is not None and r.source == "solved" for r in results)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_sweeps_counted_by_trigger(self, tmp_path, mode):
+        with ServiceThread(
+            str(tmp_path / "cache"), workers=1, worker_mode=mode
+        ) as svc:
+            client = ServiceClient(svc.address, timeout=60.0)
+            response = client.solve("Greedy", instance=small_instance(91))
+            text = client.metrics()
+        assert response.source == "solved"
+        assert parse_metric(
+            text, "repro_reaper_sweeps_total", trigger="ring"
+        ) >= 1
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_pool_without_broker_completes_jobs(self, tmp_path, mode):
+        """The ``--join`` case: nobody reads the done bell."""
+        keys = _enqueue_greedy(tmp_path, range(100, 104))
+        queue = JobQueue(tmp_path)
+        pool = WorkerPool(tmp_path, 2, mode=mode)
+        _fill(pool.done)  # every ring the workers make hits a full pipe
+        with pool:
+            deadline = time.time() + 60
+            while len(queue.done_keys()) < len(keys):
+                assert time.time() < deadline, "jobs never completed"
+                time.sleep(0.01)
+        assert sorted(queue.done_keys()) == sorted(keys)
+        assert all(queue.read_done(key)["ok"] for key in keys)
+
+    @needs_proc
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_start_stop_cycles_leak_no_fds(self, tmp_path, mode):
+        def cycle():
+            with WorkerPool(tmp_path, 1, mode=mode):
+                pass
+
+        cycle()  # first use allocates the shared-memory arena of the flag
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):
+            cycle()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_stop_wakes_idle_workers(self, tmp_path, mode):
+        pool = WorkerPool(tmp_path, 2, mode=mode, poll_interval=30.0)
+        pool.start()
+        members = list(pool._members)
+        time.sleep(1.0)  # both workers asleep in their idle wait
+        pool.stop(timeout=10)
+        assert not any(member.is_alive() for member in members)
+
+    def test_stop_reaches_a_worker_mid_scan(self, tmp_path, monkeypatch):
+        """One worker's drain may take the stop ring; its peer still wakes."""
+        armed, scanning, release = (threading.Event() for _ in range(3))
+        scan = JobQueue.pending_keys
+
+        def pending_keys(queue):
+            if armed.is_set() and threading.current_thread() is second:
+                armed.clear()
+                scanning.set()
+                release.wait(30)
+            return scan(queue)
+
+        monkeypatch.setattr(JobQueue, "pending_keys", pending_keys)
+        pool = WorkerPool(tmp_path, 2, mode="thread", poll_interval=30.0)
+        pool.start()
+        first, second = pool._members
+        armed.set()
+        pool.work.ring()  # the second worker's next scan blocks
+        assert scanning.wait(10)
+        deadline = time.time() + 10
+        while not (_waiting(first) and not _readable(pool.work)):
+            assert time.time() < deadline, "first worker never idled"
+            time.sleep(0.01)
+        stopper = threading.Thread(target=pool.stop, kwargs=dict(timeout=10))
+        stopper.start()
+        first.join(10)
+        assert not first.is_alive()  # woke, drained the stop ring, left
+        release.set()
+        second.join(10)
+        stopper.join(10)
+        assert not second.is_alive()
+
+    def test_stop_leaves_bells_to_an_abandoned_thread(
+        self, tmp_path, monkeypatch
+    ):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        (key,) = _enqueue_greedy(tmp_path, [130])
+        queue = JobQueue(tmp_path)
+        release = threading.Event()
+        pool = WorkerPool(
+            tmp_path, 1, mode="thread", on_job=lambda job: release.wait(30)
+        )
+        pool.start()
+        (member,) = pool._members
+        deadline = time.time() + 30
+        while not (queue.dir / f"{key}.claim").exists():
+            assert time.time() < deadline, "job never claimed"
+            time.sleep(0.01)
+        pool.stop(timeout=0.05)  # gives up on the worker blocked in on_job
+        release.set()
+        member.join(30)
+        assert not member.is_alive()
+        assert errors == []  # its done ring found the bell still open
+        assert queue.read_done(key)["ok"] is True
+
+    def test_stopped_pool_cannot_restart(self, tmp_path):
+        pool = WorkerPool(tmp_path, 1, mode="thread")
+        pool.start()
+        pool.stop()
+        pool.stop()  # idempotent
+        with pytest.raises(RuntimeError, match="stopped"):
+            pool.start()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_process_pool_under_start_method(self, tmp_path, method):
+        keys = _enqueue_greedy(tmp_path, [110])
+        done = _run_script(tmp_path, """
+import multiprocessing
+import sys
+import time
+
+from repro.service import JobQueue, WorkerPool
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[2])
+    queue = JobQueue(sys.argv[1])
+    with WorkerPool(sys.argv[1], 1, mode="process") as pool:
+        deadline = time.time() + 60
+        while not queue.done_keys() and time.time() < deadline:
+            pool.done.wait(1.0)
+    print("done" if queue.done_keys() else "not done")
+""", str(tmp_path), method, timeout=120)
+        assert done is not None, "the pool hung"
+        status, out, err = done
+        assert status == 0, err
+        assert out.split() == ["done"]
+        assert JobQueue(tmp_path).read_done(keys[0])["ok"] is True
+
+
+class TestStoreFallback:
+    def test_settles_from_store_when_marker_is_gone(
+        self, service, monkeypatch
+    ):
+        """Another broker consumed the done marker: the store settles."""
+
+        def complete_without_marker(queue, key, outcome):
+            queue.release(key)
+            (queue.dir / f"{key}.job").unlink(missing_ok=True)
+
+        monkeypatch.setattr(JobQueue, "complete", complete_without_marker)
+        client = ServiceClient(service.address, timeout=60.0)
+        inst = small_instance(120)
+        response = client.solve("Greedy", instance=inst, timeout=30)
+        assert response.ok and response.source == "solved"
+        store = ResultStore(service.service.broker.cache_dir)
+        try:
+            record = store.get("Greedy", inst.digest(), {})
+        finally:
+            store.close()
+        assert response.report["metrics"] == record["metrics"]
+
+    def test_grace_is_loop_time_not_sweep_count(self, tmp_path):
+        inst = small_instance(121)
+        key = canonical_key("Greedy", inst.digest(), {})
+        store = ResultStore(tmp_path)
+        record = execute_job(_job(key=key, seed=121), store)["report"]
+        store.close()
+
+        async def sweeps():
+            broker = SolveBroker(
+                str(tmp_path), BrokerConfig(poll_interval=30.0)
+            )
+            collected = []
+            broker.queue.sweep_done = collected.append
+            entry = _Pending(
+                key, "Greedy", inst.digest(),
+                asyncio.get_running_loop().create_future(),
+            )
+            broker.pending[key] = entry
+            try:
+                for _ in range(3):  # rings: many sweeps inside the grace
+                    broker._reap_once()
+                assert not entry.future.done()
+                assert len(collected) == 1  # markers collected per done_ttl
+                entry.stored_at -= broker.config.poll_interval
+                broker._reap_once()
+                return entry.future.result()
+            finally:
+                await broker.stop()
+
+        outcome = asyncio.run(sweeps())
+        assert outcome["ok"] and outcome["report"] == record
+        assert outcome["certified"] is False and outcome["timings"] == {}
+
+
+class TestWorkerCrash:
+    """A SIGKILLed idle worker must not wedge shutdown."""
+
+    @needs_proc
+    def test_pool_stops_after_worker_sigkill(self, tmp_path):
+        stopped = _run_script(tmp_path, """
+import os
+import signal
+import sys
+import time
+
+from repro.service import WorkerPool
+
+if __name__ == "__main__":
+    pool = WorkerPool(sys.argv[1], 2, mode="process").start()
+    time.sleep(1.0)  # both workers asleep in their idle wait
+    os.kill(pool._members[0].pid, signal.SIGKILL)
+    pool.stop(timeout=2)
+    print("stopped")
+""", str(tmp_path), timeout=30)
+        assert stopped is not None, "pool.stop() hung after a SIGKILL"
+        status, out, err = stopped
+        assert status == 0, err
+        assert out.split() == ["stopped"]
+
+    @needs_proc
+    def test_serve_exits_after_worker_sigkill(self, tmp_path):
+        server = _spawn(
+            "-m", "repro", "serve", "--cache-dir", str(tmp_path / "cache"),
+            "--port", "0", "--workers", "2",
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        try:
+            assert "solve service on" in server.stdout.readline()
+            deadline = time.time() + 30
+            while len(_child_pids(server.pid)) < 2:
+                assert time.time() < deadline, "workers never started"
+                time.sleep(0.05)
+            time.sleep(1.0)  # both workers asleep in their idle wait
+            os.kill(_child_pids(server.pid)[0], signal.SIGKILL)
+            server.send_signal(signal.SIGTERM)
+            try:
+                status = server.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                pytest.fail("repro serve still running 30 s after SIGTERM")
+            assert status == 0
+            assert "stopped cleanly" in server.stdout.read()
+        finally:
+            _kill_group(server)
+            server.stdout.close()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.lp.model import LinearProgram, Sense
+from repro.lp.model import LinearProgram, port_rows
 from repro.lp.solver import solve_lp
 from repro.matching.bipartite import BipartiteMultigraph
 from repro.matching.bvn import decompose_into_matchings
@@ -63,23 +63,30 @@ def test_bench_bvn_decomposition(benchmark):
 
 
 def _scheduling_lp(n_flows: int, horizon: int, m: int, seed: int = 4):
+    """A unit LP (5)-(8)-like model with per-round capacity rows."""
     rng = np.random.default_rng(seed)
-    lp = LinearProgram()
-    rows: dict = {}
-    for fid in range(n_flows):
-        src, dst = int(rng.integers(0, m)), int(rng.integers(0, m))
-        release = int(rng.integers(0, horizon // 2))
-        coeffs = {}
-        for t in range(release, horizon):
-            name = (fid, t)
-            lp.add_variable(name, objective=t - release + 0.5)
-            coeffs[name] = 1.0
-            rows.setdefault(("i", src, t), {})[name] = 1.0
-            rows.setdefault(("o", dst, t), {})[name] = 1.0
-        lp.add_constraint(("f", fid), coeffs, Sense.GE, 1.0)
-    for key, coeffs in rows.items():
-        lp.add_constraint(key, coeffs, Sense.LE, 1.0)
-    return lp
+    draws = [
+        (rng.integers(0, m), rng.integers(0, m), rng.integers(0, horizon // 2))
+        for _ in range(n_flows)
+    ]
+    src, dst, release = (np.array(d, dtype=np.int64) for d in zip(*draws))
+    lengths = horizon - release
+    flow = np.repeat(np.arange(n_flows), lengths)
+    t = release[flow] + np.arange(flow.size) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    in_row, in_port = port_rows(src[flow], t)
+    out_row, out_port = port_rows(dst[flow], t)
+    rows = np.stack(
+        [flow, n_flows + in_row, n_flows + in_port.size + out_row], axis=1
+    )
+    values = np.tile([-1.0, 1.0, 1.0], (flow.size, 1))
+    num_rows = n_flows + in_port.size + out_port.size
+    upper = np.ones(num_rows)
+    upper[:n_flows] = -1.0
+    cost = t - release[flow] + 0.5
+    lower = np.full(num_rows, -np.inf)
+    return LinearProgram.from_columns(cost, rows, values, lower, upper)
 
 
 @pytest.mark.parametrize("backend", ["highs", "highs-ds"])

@@ -26,20 +26,17 @@ the paper's rounding also analyzes only the unit-flow case end-to-end).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.art.lp_relaxation import BLOCK, build_interval_lp0
 from repro.art.pseudo_schedule import PseudoSchedule
 from repro.core.instance import Instance
-from repro.lp.model import LinearProgram, Sense
+from repro.lp.model import LinearProgram
 from repro.lp.solver import solve_lp
 
 _TOL = 1e-7
-
-Var = Tuple[int, int]  # (fid, t)
-PortKey = Tuple[str, int]  # (side, port)
 
 
 def iterative_rounding(
@@ -77,62 +74,40 @@ def iterative_rounding(
         max_iterations = 2 * int(math.log2(n) + 1) + 20
 
     # --- LP(0) -----------------------------------------------------------
-    lp0 = build_interval_lp0(instance, horizon)
-    res = solve_lp(lp0, backend=backend, need_vertex=True)
+    lp = build_interval_lp0(instance, horizon)
+    res = solve_lp(lp, backend=backend, need_vertex=True)
     if not res.is_optimal:  # pragma: no cover - LP(0) is always feasible
         raise RuntimeError(f"LP(0) failed: {res.status}")
     lp0_optimum = float(res.objective)
-    values = lp0.solution_by_name(res.x)
-    # Surviving fractional support: {fid: {t: value}}.
-    support: Dict[int, Dict[int, float]] = {}
-    for (_, fid, t), v in values.items():
-        if v > _TOL:
-            support.setdefault(fid, {})[t] = v
 
     assignment = np.full(n, -1, dtype=np.int64)
+    # The surviving fractional support: its (flow, round, value) columns,
+    # flow-major with rounds ascending, as in the LP they came from.
+    flow, rounds, value = _fix_integral_flows(assignment, lp, res.x)
     iterations = 1
     fallback_fixes = 0
 
-    def fix_integral_flows() -> None:
-        """Permanently assign flows with a variable at value 1."""
-        for fid in list(support):
-            entries = support[fid]
-            one_t = next(
-                (t for t, v in entries.items() if v >= 1 - _TOL), None
-            )
-            if one_t is not None:
-                assignment[fid] = one_t
-                del support[fid]
-
-    fix_integral_flows()
-
-    while support and iterations < max_iterations:
-        prev_unfixed = len(support)
-        lp = _build_lp_ell(instance, support)
+    while flow.size and iterations < max_iterations:
+        prev_unfixed = np.unique(flow).size
+        lp = _build_lp_ell(instance, flow, rounds, value)
         res = solve_lp(lp, backend=backend, need_vertex=True)
         iterations += 1
         if not res.is_optimal:  # pragma: no cover - relaxation invariant
             raise RuntimeError(f"LP(ell) failed: {res.status}")
-        values = lp.solution_by_name(res.x)
-        support = {}
-        for (_, fid, t), v in values.items():
-            if v > _TOL:
-                support.setdefault(fid, {})[t] = v
-        fix_integral_flows()
-        if len(support) >= prev_unfixed:
+        flow, rounds, value = _fix_integral_flows(assignment, lp, res.x)
+        if np.unique(flow).size >= prev_unfixed:
             # Defensive fallback (Lemma 3.5 precludes this with exact
             # vertices): force the most-committed flow to its best round.
-            fid = max(support, key=lambda f: max(support[f].values()))
-            t_best = max(support[fid], key=support[fid].get)
-            assignment[fid] = t_best
-            del support[fid]
+            best = np.argmax(value)
+            assignment[flow[best]] = rounds[best]
+            keep = flow != flow[best]
+            flow, rounds, value = flow[keep], rounds[keep], value[keep]
             fallback_fixes += 1
 
     # Horizon exhausted: force-assign any stragglers (max_iterations hit).
-    for fid in list(support):
-        t_best = max(support[fid], key=support[fid].get)
-        assignment[fid] = t_best
-        del support[fid]
+    for fid in np.unique(flow):
+        own = np.flatnonzero(flow == fid)
+        assignment[fid] = rounds[own[np.argmax(value[own])]]
         fallback_fixes += 1
 
     releases = instance.releases()
@@ -147,66 +122,99 @@ def iterative_rounding(
     )
 
 
-def _build_lp_ell(
-    instance: Instance, support: Dict[int, Dict[int, float]]
-) -> LinearProgram:
-    """Construct LP(ℓ) (equations (9)–(12)) from the surviving support."""
-    lp = LinearProgram()
-    # Variables + flow-completion constraints (10).
-    for fid, entries in sorted(support.items()):
-        flow = instance.flows[fid]
-        coeffs = {}
-        for t in sorted(entries):
-            name = ("b", fid, t)
-            cost = (t - flow.release) / flow.demand + 0.5
-            lp.add_variable(name, objective=cost)
-            coeffs[name] = 1.0
-        lp.add_constraint(("flow", fid), coeffs, Sense.GE, float(flow.demand))
+def _fix_integral_flows(
+    assignment: np.ndarray, lp: LinearProgram, x: np.ndarray
+):
+    """Assign each flow with a column at 1 to its first such round.
 
-    # Interval constraints (11): per port, regroup surviving variables.
-    for side, port, groups in _port_groups(instance, support):
-        for a, (group_vars, size) in enumerate(groups):
-            coeffs = {("b", fid, t): 1.0 for fid, t in group_vars}
-            lp.add_constraint((("ivl", side, port, a)), coeffs, Sense.LE, size)
-    return lp
+    Returns the rest of the support: the ``(flow, round, value)`` of the
+    columns above ``1e-7`` whose flow stays unassigned.
+    """
+    support = x > _TOL
+    flow, rounds, value = lp.flow[support], lp.round[support], x[support]
+    at_one = np.flatnonzero(value >= 1 - _TOL)
+    fixed, first = np.unique(flow[at_one], return_index=True)
+    assignment[fixed] = rounds[at_one[first]]
+    keep = assignment[flow] < 0
+    return flow[keep], rounds[keep], value[keep]
+
+
+def _build_lp_ell(
+    instance: Instance,
+    flow: np.ndarray,
+    rounds: np.ndarray,
+    value: np.ndarray,
+) -> LinearProgram:
+    """Construct LP(ℓ) (equations (9)–(12)) from the surviving support.
+
+    The support is given as ``(flow, round, value)`` columns.  Columns
+    are the support's, flow-major with rounds ascending, with cost
+    ``(t - r_e)/d_e + 1/2``.  Rows: the covering rows (10), one per
+    support flow in flow order, stored negated as
+    ``-sum_t b_{e,t} <= -d_e``; then the interval rows (11) of
+    :func:`_port_groups`, each bounded by its group's mass.
+    """
+    order = np.lexsort((rounds, flow))
+    flow, rounds, value = flow[order], rounds[order], value[order]
+    fids, cover_row = np.unique(flow, return_inverse=True)
+    in_row, out_row, sizes = _port_groups(instance, flow, rounds, value)
+    rows = np.stack(
+        [cover_row, fids.size + in_row, fids.size + out_row], axis=1
+    )
+    releases, demands = instance.releases(), instance.demands()
+    cost = (rounds - releases[flow]) / demands[flow] + 0.5
+    row_upper = np.concatenate(
+        [-demands[fids].astype(np.float64), np.asarray(sizes)]
+    )
+    return LinearProgram.from_columns(
+        cost,
+        rows,
+        np.tile([-1.0, 1.0, 1.0], (flow.size, 1)),
+        np.full(row_upper.size, -np.inf),
+        row_upper,
+        flow=flow,
+        round=rounds,
+    )
 
 
 def _port_groups(
-    instance: Instance, support: Dict[int, Dict[int, float]]
-) -> List[Tuple[str, int, List[Tuple[List[Var], float]]]]:
+    instance: Instance,
+    flow: np.ndarray,
+    rounds: np.ndarray,
+    value: np.ndarray,
+):
     """Greedy interval construction per port (the I(p, a, ℓ) of §3.1).
 
-    For each port: sort the surviving variables of incident flows by
-    round (ties by fid), then cut groups as soon as the accumulated mass
-    first reaches ``BLOCK * c_p``.  Returns
-    ``[(side, port, [(vars, size), ...]), ...]``.
+    For each port: sort the surviving columns of incident flows by round
+    (ties by fid), then cut groups as soon as the accumulated mass first
+    reaches ``BLOCK * c_p``.  Groups are numbered input ports first, in
+    port order, then output ports.  Returns each column's input and
+    output group and each group's mass.  The cut is a sequential loop:
+    its float accumulation order decides the cut points.
     """
-    per_port: Dict[PortKey, List[Tuple[int, int, float]]] = {}
-    for fid, entries in support.items():
-        flow = instance.flows[fid]
-        for t, v in entries.items():
-            per_port.setdefault(("in", flow.src), []).append((t, fid, v))
-            per_port.setdefault(("out", flow.dst), []).append((t, fid, v))
-
-    out: List[Tuple[str, int, List[Tuple[List[Var], float]]]] = []
-    for (side, port), triples in sorted(per_port.items()):
-        cap = (
-            instance.switch.input_capacity(port)
-            if side == "in"
-            else instance.switch.output_capacity(port)
-        )
-        threshold = BLOCK * cap
-        triples.sort()
-        groups: List[Tuple[List[Var], float]] = []
-        current: List[Var] = []
-        mass = 0.0
-        for t, fid, v in triples:
-            current.append((fid, t))
-            mass += v
+    sw = instance.switch
+    mass_of = value.tolist()
+    sizes: List[float] = []
+    groups = []
+    for ports, caps in (
+        (instance.srcs()[flow], sw.input_capacities),
+        (instance.dsts()[flow], sw.output_capacities),
+    ):
+        group = np.empty(flow.size, dtype=np.int64)
+        port_of = ports.tolist()
+        port, mass = -1, 0.0  # a non-empty group has positive mass
+        for j in np.lexsort((flow, rounds, ports)).tolist():
+            if port_of[j] != port:
+                if mass:
+                    sizes.append(mass)
+                port, mass = port_of[j], 0.0
+                threshold = BLOCK * int(caps[port])
+            group[j] = len(sizes)
+            mass += mass_of[j]
             if mass >= threshold:
-                groups.append((current, mass))
-                current, mass = [], 0.0
-        if current:
-            groups.append((current, mass))
-        out.append((side, port, groups))
-    return out
+                sizes.append(mass)
+                mass = 0.0
+        if mass:
+            sizes.append(mass)
+        groups.append(group)
+    return groups[0], groups[1], sizes

@@ -16,6 +16,15 @@ every optimal solution (see :func:`build_fractional_art_lp`).
 per-4-round *blocks* of capacity ``4 c_p`` and uses the coefficient
 ``(t - r_e)/d_e + 1/2``; it is a relaxation of LP (1)–(4) for unit
 ``kappa`` and is the starting point LP(0) of iterative rounding.
+
+Both builders fill the model's arrays directly.  Their column and row
+order is part of the contract (HiGHS's vertex depends on it):
+
+* columns are flow-major, with the rounds of each flow ascending;
+* rows are the covering rows in flow order, stored negated as
+  ``-sum_t b_{e,t} <= -d_e``; then the input-port capacity rows of the
+  touched (port, round) or (port, block) pairs, sorted; then the
+  output-port rows, sorted likewise.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.instance import Instance
-from repro.lp.model import LinearProgram, Sense
+from repro.lp.model import LinearProgram, port_rows
 from repro.lp.solver import solve_lp
 
 #: Block length of the initial interval LP (the paper uses 4).
@@ -39,6 +48,53 @@ def _horizon(instance: Instance, horizon: Optional[int]) -> int:
             f"horizon {H} does not cover max release {instance.max_release}"
         )
     return H
+
+
+def _flow_rounds(starts: np.ndarray, ends: np.ndarray):
+    """``(flow, round)`` of the columns ``t in [starts[e], ends[e])``,
+    flow-major with rounds ascending."""
+    lengths = ends - starts
+    flow = np.repeat(np.arange(starts.size), lengths)
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return flow, starts[flow] + np.arange(flow.size) - first
+
+
+def _covering_lp(
+    instance: Instance,
+    flow: np.ndarray,
+    rounds: np.ndarray,
+    cost: np.ndarray,
+    keys: np.ndarray,
+    scale: int,
+) -> LinearProgram:
+    """The shared shape of LP (1)–(4) and (5)–(8).
+
+    Covering rows per flow, then capacity rows of ``scale * c_p`` per
+    touched (input port, key), then per (output port, key).
+    """
+    sw = instance.switch
+    n = instance.num_flows
+    in_row, in_port = port_rows(instance.srcs()[flow], keys)
+    out_row, out_port = port_rows(instance.dsts()[flow], keys)
+    num_in = in_port.size
+    rows = np.stack([flow, n + in_row, n + num_in + out_row], axis=1)
+    values = np.tile([-1.0, 1.0, 1.0], (flow.size, 1))
+    row_upper = np.concatenate(
+        [
+            -instance.demands().astype(np.float64),
+            (scale * sw.input_capacities[in_port]).astype(np.float64),
+            (scale * sw.output_capacities[out_port]).astype(np.float64),
+        ]
+    )
+    return LinearProgram.from_columns(
+        cost,
+        rows,
+        values,
+        np.full(row_upper.size, -np.inf),
+        row_upper,
+        flow=flow,
+        round=rounds,
+    )
 
 
 def build_fractional_art_lp(
@@ -62,38 +118,26 @@ def build_fractional_art_lp(
     Hence ``t - r_e <= floor(D_src/c_src) + floor(D_dst/c_dst)``: every
     optimal solution of the full-horizon LP lies inside the windows, and
     the windowed LP, a restriction, has the same optimum.
+
+    Columns and rows follow the module's order; a column's cost is
+    ``(t - r_e)/d_e + 1/(2 kappa_e)`` and each capacity row's bound is
+    ``c_p``.
     """
     H = _horizon(instance, horizon)
     sw = instance.switch
+    srcs, dsts = instance.srcs(), instance.dsts()
+    releases, demands = instance.releases(), instance.demands()
     in_load, out_load = instance.port_loads()
-    waits = (in_load // sw.input_capacities)[instance.srcs()] + (
+    waits = (in_load // sw.input_capacities)[srcs] + (
         out_load // sw.output_capacities
-    )[instance.dsts()]
-    ends = np.minimum(H, instance.releases() + waits + 1).tolist()
-    lp = LinearProgram()
-    # Port-capacity rows, only for (port, round) pairs that are touched.
-    in_rows: dict[tuple[int, int], dict] = {}
-    out_rows: dict[tuple[int, int], dict] = {}
-    for flow, end in zip(instance.flows, ends):
-        kappa = sw.kappa(flow.src, flow.dst)
-        coeffs = {}
-        for t in range(flow.release, end):
-            name = ("b", flow.fid, t)
-            cost = (t - flow.release) / flow.demand + 1.0 / (2.0 * kappa)
-            lp.add_variable(name, objective=cost)
-            coeffs[name] = 1.0
-            in_rows.setdefault((flow.src, t), {})[name] = 1.0
-            out_rows.setdefault((flow.dst, t), {})[name] = 1.0
-        lp.add_constraint(("flow", flow.fid), coeffs, Sense.GE, float(flow.demand))
-    for (p, t), coeffs in sorted(in_rows.items()):
-        lp.add_constraint(
-            ("cap", "in", p, t), coeffs, Sense.LE, float(sw.input_capacity(p))
-        )
-    for (q, t), coeffs in sorted(out_rows.items()):
-        lp.add_constraint(
-            ("cap", "out", q, t), coeffs, Sense.LE, float(sw.output_capacity(q))
-        )
-    return lp
+    )[dsts]
+    ends = np.minimum(H, releases + waits + 1)
+    flow, rounds = _flow_rounds(releases, ends)
+    kappa = np.minimum(sw.input_capacities[srcs], sw.output_capacities[dsts])
+    cost = (rounds - releases[flow]) / demands[flow] + 1.0 / (
+        2.0 * kappa[flow]
+    )
+    return _covering_lp(instance, flow, rounds, cost, rounds, 1)
 
 
 def art_lp_lower_bound(
@@ -132,40 +176,13 @@ def build_interval_lp0(
 
     Constraint (7) groups rounds into fixed blocks
     ``(BLOCK*(a-1), BLOCK*a]`` with capacity ``BLOCK * c_p``; here with
-    0-indexed rounds the blocks are ``[BLOCK*a, BLOCK*(a+1))``.
+    0-indexed rounds the blocks are ``[BLOCK*a, BLOCK*(a+1))``.  Every
+    flow has a column for each round of ``[r_e, horizon)``, with cost
+    ``(t - r_e)/d_e + 1/2``; rows follow the module's order, keyed by
+    (port, block).
     """
     H = _horizon(instance, horizon)
-    lp = LinearProgram()
-    sw = instance.switch
-    for flow in instance.flows:
-        coeffs = {}
-        for t in range(flow.release, H):
-            name = ("b", flow.fid, t)
-            cost = (t - flow.release) / flow.demand + 0.5
-            lp.add_variable(name, objective=cost)
-            coeffs[name] = 1.0
-        lp.add_constraint(("flow", flow.fid), coeffs, Sense.GE, float(flow.demand))
-
-    in_rows: dict[tuple[int, int], dict] = {}
-    out_rows: dict[tuple[int, int], dict] = {}
-    for flow in instance.flows:
-        for t in range(flow.release, H):
-            name = ("b", flow.fid, t)
-            a = t // BLOCK
-            in_rows.setdefault((flow.src, a), {})[name] = 1.0
-            out_rows.setdefault((flow.dst, a), {})[name] = 1.0
-    for (p, a), coeffs in sorted(in_rows.items()):
-        lp.add_constraint(
-            ("blk", "in", p, a),
-            coeffs,
-            Sense.LE,
-            float(BLOCK * sw.input_capacity(p)),
-        )
-    for (q, a), coeffs in sorted(out_rows.items()):
-        lp.add_constraint(
-            ("blk", "out", q, a),
-            coeffs,
-            Sense.LE,
-            float(BLOCK * sw.output_capacity(q)),
-        )
-    return lp
+    releases = instance.releases()
+    flow, rounds = _flow_rounds(releases, np.full_like(releases, H))
+    cost = (rounds - releases[flow]) / instance.demands()[flow] + 0.5
+    return _covering_lp(instance, flow, rounds, cost, rounds // BLOCK, BLOCK)

@@ -1,12 +1,14 @@
 """Linear-programming substrate (the paper used Gurobi 8.1).
 
-* :mod:`repro.lp.model` — a sparse LP model builder with named variables
-  and mutable bounds;
+* :mod:`repro.lp.model` — the LP as arrays: costs, column bounds, a CSC
+  matrix and row bounds in HiGHS's ``lo <= Ax <= hi`` form, plus each
+  column's flow and round for the paper's LPs;
 * :mod:`repro.lp.simplex` — a self-contained two-phase primal simplex
   (Bland's rule, dense tableau) that returns optimal *basic* solutions;
-* :mod:`repro.lp.solver` — backend dispatch between our simplex and SciPy
-  HiGHS (``highs-ds`` when a vertex solution is required, as in the
-  iterative-rounding pipelines);
+* :mod:`repro.lp.solver` — backend dispatch between our simplex and
+  HiGHS, which gets the model's arrays directly with the options
+  ``scipy.optimize.linprog`` would set (``highs-ds`` when a vertex
+  solution is required, as in the iterative-rounding pipelines);
 * :mod:`repro.lp.bounds` — warm bound oracles for the sweep LPs: start
   the ρ search at a port-load counting bound, build the model at most
   once per instance (never when that bound meets the greedy cap), mutate
@@ -22,15 +24,13 @@ from repro.lp.bounds import (
     counting_lower_bound,
     mrt_lower_bound,
 )
-from repro.lp.model import Constraint, LinearProgram, Sense
+from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.solver import solve_lp
 from repro.lp.simplex import SimplexResult, simplex_solve
 
 __all__ = [
     "LinearProgram",
-    "Constraint",
-    "Sense",
     "LPResult",
     "LPStatus",
     "solve_lp",

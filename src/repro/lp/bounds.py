@@ -13,10 +13,10 @@ cheap:
 * :class:`LPBoundOracle` builds the time-constrained LP at most once
   per instance (at the largest ρ the search can ask about, on the first
   query that needs a solve) and answers ``is_feasible(rho)`` for any
-  smaller ρ by mutating only the ρ-dependent variable bounds — a
-  variable ``x_{e,t}`` with ``t >= r_e + rho`` is fixed to ``[0, 0]``,
-  which is equivalent to removing it from the model.  Build and solve
-  work are counted (``oracle.builds`` / ``oracle.solves``) and
+  smaller ρ by masking columns through their upper bounds — a column
+  ``x_{e,t}`` with ``t >= r_e + rho`` gets upper bound 0, which is
+  equivalent to removing it from the model.  Build and solve work are
+  counted (``oracle.builds`` / ``oracle.solves``) and
   optionally timed through a :class:`~repro.utils.timing.Timer` under
   the names ``lp_bound_build`` and ``lp_bound_solve``.
 * :func:`mrt_lower_bound` / :func:`art_lower_bound` wrap the two sweep
@@ -28,9 +28,9 @@ cheap:
   reset the memo.
 
 The solves themselves go through :func:`repro.lp.solver.solve_lp` with
-``backend="auto"``, which dispatches to the sparse SciPy HiGHS backend
-(the hand-rolled dense tableau simplex remains only as the
-small-instance fallback/teaching backend).
+``backend="auto"``, which hands the model's arrays to HiGHS (the
+hand-rolled dense tableau simplex remains only as the small-instance
+fallback/teaching backend).
 
 Cross-*process* reuse (resumable sweeps) is layered on top by the
 content-addressed result store in :mod:`repro.api.store`.
@@ -128,6 +128,13 @@ def counting_lower_bound(instance: Instance) -> int:
 class LPBoundOracle:
     """Feasibility oracle for LP (19)–(21) across a whole ρ search.
 
+    The design is build once, mask per probe: the first probe that needs
+    a solve builds the LP at ``rho_cap``; every probe then sets the
+    column upper bounds to 0 outside the windows ``t - r_e < rho`` (one
+    array operation over the model's ``round`` and ``flow``) and solves.
+    Only an INFEASIBLE solve counts as infeasible (see
+    :meth:`is_feasible`).
+
     Parameters
     ----------
     instance:
@@ -196,24 +203,24 @@ class LPBoundOracle:
             self._lp = build_time_constrained_lp(
                 from_response_bound(self.instance, self.rho_cap)
             )
-            releases = self.instance.releases()
-            # offsets[j] = t - r_e for column j = ("x", fid, t): a column
-            # is alive under response bound rho iff its offset < rho.
-            self._offsets = np.fromiter(
-                (t - releases[fid] for (_x, fid, t) in self._lp.variable_names),
-                dtype=np.int64,
-                count=self._lp.num_vars,
+            # A column (flow e, round t) is alive under response bound
+            # rho iff its offset t - r_e is below rho.
+            self._offsets = (
+                self._lp.round - self.instance.releases()[self._lp.flow]
             )
         self.builds += 1
 
     def is_feasible(self, rho: int) -> bool:
         """Whether LP (19)–(21) with response bound ``rho`` is feasible.
 
-        Answers from the per-ρ memo when possible; otherwise restricts
-        the model (built at ``rho_cap`` on the first solve) by fixing
-        out-of-window variables to zero and solves.  Equivalent to
+        Answers from the per-ρ memo when possible; otherwise masks the
+        model (built at ``rho_cap`` on the first solve) by setting the
+        upper bound of every out-of-window column to zero, and solves.
+        Equivalent to
         ``is_fractionally_feasible(from_response_bound(instance, rho))``
-        without the per-query model build.
+        without the per-query model build.  Only an INFEASIBLE solve
+        means infeasible: any other non-optimal status raises
+        ``RuntimeError`` and is not memoised.
         """
         if self.instance.num_flows == 0:
             return True
@@ -230,13 +237,11 @@ class LPBoundOracle:
             return hit
         if self._lp is None:
             self._build()
-        self._lp.set_upper_bounds(
-            np.where(self._offsets < rho, np.inf, 0.0)
-        )
+        self._lp.col_upper = np.where(self._offsets < rho, np.inf, 0.0)
         with _measure(self.timer, "lp_bound_solve"):
             result = solve_lp(self._lp, backend=self.backend, need_vertex=False)
         self.solves += 1
-        feasible = result.is_optimal
+        feasible = result.is_feasible(f"LP (19)-(21) at rho {rho}")
         self._feasible[rho] = feasible
         return feasible
 

@@ -1,263 +1,126 @@
-"""Sparse LP model builder.
+"""Array-native LP model: the arrays HiGHS reads.
 
 The scheduling LPs (paper equations (1)–(12) and (19)–(21)) have one
-variable per (flow, round) pair and constraints indexed by flows and by
-(port, interval) pairs.  :class:`LinearProgram` lets the algorithm code
-build these by name, then exports SciPy-ready sparse arrays.
+column per (flow, round) pair and rows indexed by flows and by (port,
+interval) pairs.  Their builders fill a :class:`LinearProgram` with
+NumPy: costs and column bounds, a CSC matrix, and row bounds in HiGHS's
+``lo <= A x <= hi`` form.  :func:`repro.lp.solver.solve_lp` hands these
+arrays to HiGHS as they are, so a builder's row and column order is the
+order HiGHS sees.
 
-All models are minimization; use negated coefficients to maximize.
+All models are minimization; use negated coefficients to maximize.  A
+``>=`` row is stored negated, as ``-a x <= -b``, which is the form
+``scipy.optimize.linprog`` gives HiGHS for ``A_ub`` rows.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy import sparse
-
-
-class Sense(enum.Enum):
-    """Constraint sense."""
-
-    LE = "<="
-    GE = ">="
-    EQ = "=="
 
 
 @dataclass
-class Constraint:
-    """One linear constraint ``sum coef_i * x_i  (sense)  rhs``."""
-
-    name: Hashable
-    coeffs: Dict[int, float]
-    sense: Sense
-    rhs: float
-
-
 class LinearProgram:
-    """Incrementally built minimization LP with named variables.
+    """``min cost @ x  s.t.  row_lower <= A x <= row_upper,
+    col_lower <= x <= col_upper``.
 
-    Variables have lower bound 0 and upper bound ``+inf`` by default
-    (all the paper's LPs are of this shape); per-variable bounds can be
-    overridden.
+    Attributes
+    ----------
+    cost, col_lower, col_upper:
+        Per-column float arrays.
+    indptr, indices, data:
+        ``A`` in CSC form, with row indices ascending inside each column.
+    row_lower, row_upper:
+        Per-row float arrays (``-inf`` / ``inf`` for an open side).
+    flow, round:
+        For the paper's LPs, the flow and the round of each column
+        (``None`` for other models).
     """
 
-    def __init__(self) -> None:
-        self._var_names: List[Hashable] = []
-        self._var_index: Dict[Hashable, int] = {}
-        self._objective: List[float] = []
-        self._lower: List[float] = []
-        self._upper: List[float] = []
-        self.constraints: List[Constraint] = []
-        # Memoised sparse export (bounds-independent); invalidated by any
-        # structural change so repeated solves of one model — the bound
-        # oracle's binary search — skip the O(nnz) matrix rebuild.
-        self._scipy_matrices = None
+    cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    flow: Optional[np.ndarray] = None
+    round: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------
-    # Variables
-    # ------------------------------------------------------------------
+    @classmethod
+    def from_columns(
+        cls,
+        cost: np.ndarray,
+        rows: np.ndarray,
+        values: np.ndarray,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+        flow: Optional[np.ndarray] = None,
+        round: Optional[np.ndarray] = None,
+    ) -> "LinearProgram":
+        """Build a model whose column j has ``values[j]`` in ``rows[j]``.
 
-    def add_variable(
-        self,
-        name: Hashable,
-        objective: float = 0.0,
-        lower: float = 0.0,
-        upper: float = np.inf,
-    ) -> int:
-        """Add variable ``name``; returns its column index."""
-        if name in self._var_index:
-            raise ValueError(f"duplicate variable {name!r}")
-        self._scipy_matrices = None
-        idx = len(self._var_names)
-        self._var_index[name] = idx
-        self._var_names.append(name)
-        self._objective.append(float(objective))
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        return idx
-
-    def var(self, name: Hashable) -> int:
-        """Column index of variable ``name``."""
-        return self._var_index[name]
-
-    def has_var(self, name: Hashable) -> bool:
-        """Whether ``name`` is a variable of this model."""
-        return name in self._var_index
+        ``rows`` and ``values`` are ``(num_vars, k)`` arrays; a negative
+        row index or a zero value marks an absent entry.  The entries of
+        each column are sorted by row, as CSC requires; a row given twice
+        in one column raises ``ValueError``.  Columns get bounds
+        ``[0, inf)``.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        order = np.argsort(rows, axis=1, kind="stable")
+        rows = np.take_along_axis(rows, order, axis=1)
+        values = np.take_along_axis(values, order, axis=1)
+        present = (rows >= 0) & (values != 0.0)
+        twice = rows[:, 1:] == rows[:, :-1]
+        if (twice & present[:, 1:] & present[:, :-1]).any():
+            raise ValueError("a column lists one row twice")
+        indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        num_vars = len(cost)
+        return cls(
+            cost=np.asarray(cost, dtype=np.float64),
+            col_lower=np.zeros(num_vars),
+            col_upper=np.full(num_vars, np.inf),
+            indptr=indptr,
+            indices=rows[present],
+            data=values[present],
+            row_lower=np.asarray(row_lower, dtype=np.float64),
+            row_upper=np.asarray(row_upper, dtype=np.float64),
+            flow=flow,
+            round=round,
+        )
 
     @property
     def num_vars(self) -> int:
-        """Number of variables."""
-        return len(self._var_names)
+        """Number of columns."""
+        return self.cost.size
 
     @property
-    def num_constraints(self) -> int:
-        """Number of constraints."""
-        return len(self.constraints)
+    def num_rows(self) -> int:
+        """Number of rows."""
+        return self.row_lower.size
 
-    @property
-    def variable_names(self) -> List[Hashable]:
-        """Variable names in column order."""
-        return list(self._var_names)
-
-    def set_objective(self, name: Hashable, coefficient: float) -> None:
-        """Set the objective coefficient of an existing variable."""
-        self._objective[self.var(name)] = float(coefficient)
-
-    def set_bounds(
-        self, name: Hashable, lower: float = 0.0, upper: float = np.inf
-    ) -> None:
-        """Replace the bounds of an existing variable.
-
-        Bound mutation is what lets :class:`repro.lp.bounds.LPBoundOracle`
-        reuse one built model across a whole binary search: fixing a
-        variable to ``[0, 0]`` is equivalent to removing it from the LP.
-        """
-        idx = self.var(name)
-        self._lower[idx] = float(lower)
-        self._upper[idx] = float(upper)
-
-    def set_upper_bounds(self, upper: Sequence[float]) -> None:
-        """Replace every variable's upper bound at once (column order).
-
-        The vectorized counterpart of :meth:`set_bounds` used on the
-        oracle hot path, where all ρ-dependent bounds change per query.
-        """
-        values = np.asarray(upper, dtype=np.float64)
-        if values.shape != (self.num_vars,):
-            raise ValueError(
-                f"need {self.num_vars} upper bounds, got {values.shape}"
-            )
-        self._upper = values.tolist()
-
-    # ------------------------------------------------------------------
-    # Constraints
-    # ------------------------------------------------------------------
-
-    def add_constraint(
-        self,
-        name: Hashable,
-        coeffs: Dict[Hashable, float],
-        sense: Sense,
-        rhs: float,
-    ) -> Constraint:
-        """Add ``sum coeffs[v] * v  (sense)  rhs`` over named variables."""
-        self._scipy_matrices = None
-        indexed = {self.var(v): float(c) for v, c in coeffs.items() if c != 0.0}
-        constraint = Constraint(name, indexed, sense, float(rhs))
-        self.constraints.append(constraint)
-        return constraint
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-
-    def objective_vector(self) -> np.ndarray:
-        """Objective coefficients as a dense vector."""
-        return np.asarray(self._objective, dtype=np.float64)
-
-    def bounds(self) -> List[Tuple[float, float]]:
-        """Per-variable ``(lower, upper)`` bounds."""
-        return list(zip(self._lower, self._upper))
-
-    def to_scipy_arrays(
-        self,
-    ) -> Tuple[
-        np.ndarray,
-        Optional[sparse.csr_matrix],
-        Optional[np.ndarray],
-        Optional[sparse.csr_matrix],
-        Optional[np.ndarray],
-    ]:
-        """Export ``(c, A_ub, b_ub, A_eq, b_eq)`` for ``scipy.linprog``.
-
-        ``>=`` rows are negated into ``<=`` form.  The matrices and
-        right-hand sides depend only on the constraint structure — not on
-        the objective or the (mutable) variable bounds — so they are
-        memoised across calls until a variable or constraint is added.
-        """
-        if self._scipy_matrices is None:
-            n = self.num_vars
-            ub_rows: List[Tuple[Dict[int, float], float]] = []
-            eq_rows: List[Tuple[Dict[int, float], float]] = []
-            for con in self.constraints:
-                if con.sense is Sense.LE:
-                    ub_rows.append((con.coeffs, con.rhs))
-                elif con.sense is Sense.GE:
-                    ub_rows.append(
-                        ({i: -c for i, c in con.coeffs.items()}, -con.rhs)
-                    )
-                else:
-                    eq_rows.append((con.coeffs, con.rhs))
-
-            def build(rows: List[Tuple[Dict[int, float], float]]):
-                if not rows:
-                    return None, None
-                data, row_idx, col_idx, rhs = [], [], [], []
-                for r, (coeffs, b) in enumerate(rows):
-                    rhs.append(b)
-                    for c, val in coeffs.items():
-                        row_idx.append(r)
-                        col_idx.append(c)
-                        data.append(val)
-                mat = sparse.csr_matrix(
-                    (data, (row_idx, col_idx)), shape=(len(rows), n)
-                )
-                return mat, np.asarray(rhs, dtype=np.float64)
-
-            self._scipy_matrices = (*build(ub_rows), *build(eq_rows))
-        a_ub, b_ub, a_eq, b_eq = self._scipy_matrices
-        return self.objective_vector(), a_ub, b_ub, a_eq, b_eq
-
-    def to_dense_standard_form(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Hashable]]:
-        """Export ``min c'x s.t. Ax (<=|==) b, x >= 0`` in dense slack form.
-
-        Converts every row to an equality by adding slack/surplus columns,
-        producing ``(A, b, c)`` with ``A`` dense — the input format of
-        :func:`repro.lp.simplex.simplex_solve`.  Finite upper bounds become
-        extra ``<=`` rows.  Returns the slack-free variable names so
-        callers can slice the structural part of the solution.
-
-        Only suitable for small/medium models (dense memory).
-        """
-        extra_rows: List[Tuple[Dict[int, float], Sense, float]] = []
-        for j, (lo, hi) in enumerate(self.bounds()):
-            if lo != 0.0:
-                raise ValueError(
-                    "dense standard form requires lower bounds of 0 "
-                    f"(variable {self._var_names[j]!r} has {lo})"
-                )
-            if np.isfinite(hi):
-                extra_rows.append(({j: 1.0}, Sense.LE, hi))
-
-        rows = [(c.coeffs, c.sense, c.rhs) for c in self.constraints] + extra_rows
-        n_struct = self.num_vars
-        n_slack = sum(1 for _, s, _ in rows if s is not Sense.EQ)
-        n_total = n_struct + n_slack
-        A = np.zeros((len(rows), n_total))
-        b = np.zeros(len(rows))
-        c_vec = np.zeros(n_total)
-        c_vec[:n_struct] = self.objective_vector()
-        slack = n_struct
-        for r, (coeffs, sense, rhs) in enumerate(rows):
-            for j, val in coeffs.items():
-                A[r, j] = val
-            b[r] = rhs
-            if sense is Sense.LE:
-                A[r, slack] = 1.0
-                slack += 1
-            elif sense is Sense.GE:
-                A[r, slack] = -1.0
-                slack += 1
-        return A, b, c_vec, list(self._var_names)
-
-    def solution_by_name(self, x: np.ndarray) -> Dict[Hashable, float]:
-        """Map a solution vector back to ``{variable name: value}``."""
-        return {name: float(x[i]) for name, i in self._var_index.items()}
+    def dense_matrix(self) -> np.ndarray:
+        """``A`` as a dense ``(num_rows, num_vars)`` array."""
+        A = np.zeros((self.num_rows, self.num_vars))
+        cols = np.repeat(np.arange(self.num_vars), np.diff(self.indptr))
+        A[self.indices, cols] = self.data
+        return A
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LinearProgram({self.num_vars} vars, {self.num_constraints} rows)"
+        return f"LinearProgram({self.num_vars} vars, {self.num_rows} rows)"
+
+
+def port_rows(ports: np.ndarray, keys: np.ndarray):
+    """One row per distinct ``(port, key)`` pair of the columns, sorted.
+
+    ``ports`` and ``keys`` (non-negative) give each column's pair.
+    Returns each column's row number and each row's port.
+    """
+    span = int(keys.max(initial=0)) + 1
+    pairs, row = np.unique(ports * span + keys, return_inverse=True)
+    return row, pairs // span

@@ -49,3 +49,20 @@ class LPResult:
     def is_optimal(self) -> bool:
         """True when an optimal solution was found."""
         return self.status is LPStatus.OPTIMAL
+
+    def is_feasible(self, what: str) -> bool:
+        """Read a feasibility solve: OPTIMAL is True, INFEASIBLE is False.
+
+        Any other status (an error, an iteration or time limit, HiGHS's
+        "unbounded or infeasible") decides nothing, so it raises
+        ``RuntimeError`` naming the status and ``what`` was solved,
+        rather than passing for a proof that no solution exists.
+        """
+        if self.status is LPStatus.OPTIMAL:
+            return True
+        if self.status is LPStatus.INFEASIBLE:
+            return False
+        raise RuntimeError(
+            f"{what} solve ended {self.status.name} ({self.backend}), "
+            "which decides nothing about feasibility"
+        )

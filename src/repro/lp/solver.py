@@ -6,15 +6,22 @@ Backends
     Our two-phase dense simplex (:mod:`repro.lp.simplex`).  Always
     returns a vertex; intended for small models and cross-checking.
 ``"highs-ds"``
-    SciPy HiGHS dual simplex.  Returns basic (vertex) solutions; this is
-    the default for the iterative-rounding pipelines (the paper used
-    Gurobi — any optimal basic solution is equivalent for the rounding
-    arguments).
+    HiGHS dual simplex.  Returns basic (vertex) solutions; this is the
+    default for the iterative-rounding pipelines (the paper used Gurobi —
+    any optimal basic solution is equivalent for the rounding arguments).
 ``"highs"``
-    SciPy HiGHS automatic choice (may use interior point); fastest for
-    pure lower-bound computations where only the objective value matters.
+    HiGHS's automatic choice (may use interior point); fastest for pure
+    lower-bound computations where only the objective value matters.
 ``"auto"``
     ``highs-ds`` when a vertex is requested, else ``highs``.
+
+Both HiGHS backends call the HiGHS build that SciPy ships
+(``scipy.optimize._highspy``, SciPy >= 1.15) directly on the model's
+arrays, with the options ``scipy.optimize.linprog`` sets for
+``method="highs"`` / ``"highs-ds"``, and keep ``linprog``'s post-solve
+check of the returned point.  Given the arrays ``linprog`` would pass,
+HiGHS returns the same vertex, bit for bit, without ``linprog``'s
+per-column Python work.
 
 Backend selection
 -----------------
@@ -37,24 +44,50 @@ the backend semantics above apply unchanged.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-from scipy import optimize
 
 from repro.lp.model import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import simplex_solve
 
-_SCIPY_STATUS = {
-    0: LPStatus.OPTIMAL,
-    1: LPStatus.ERROR,  # iteration limit
-    2: LPStatus.INFEASIBLE,
-    3: LPStatus.UNBOUNDED,
-    4: LPStatus.ERROR,
-}
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - depends on the install
+    raise ImportError(
+        "repro.lp.solver calls HiGHS through scipy.optimize._highspy, "
+        "which needs SciPy >= 1.15"
+    ) from exc
 
 _DENSE_SIMPLEX_LIMIT = 4000  # max variables for the dense backend
+
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kOptimal: LPStatus.OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: LPStatus.INFEASIBLE,
+    _highs.HighsModelStatus.kModelError: LPStatus.INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: LPStatus.UNBOUNDED,
+}
+
+#: linprog's tolerance for its post-solve check, ``sqrt(1e-9) * 10``.
+_CHECK_TOL = np.sqrt(1e-9) * 10
+
+
+def _highs_options(solver: str) -> "_highs.HighsOptions":
+    """The options ``linprog`` passes HiGHS (``solver`` aside, defaults)."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = solver
+    options.simplex_strategy = 1  # kSimplexStrategyDual
+    options.highs_debug_level = 0  # kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    return options
+
+
+# HiGHS copies these into each fresh solver, so one set serves every solve.
+_OPTIONS = {
+    "highs": _highs_options("choose"),
+    "highs-ds": _highs_options("simplex"),
+}
 
 
 def solve_lp(
@@ -77,16 +110,53 @@ def solve_lp(
     Returns
     -------
     LPResult
+        A model without columns is OPTIMAL (objective 0) when every row
+        admits the activity 0, and INFEASIBLE otherwise.
     """
-    if lp.num_vars == 0:
-        return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(0), True, backend)
     if backend == "auto":
         backend = "highs-ds" if need_vertex else "highs"
+    if backend not in ("simplex", "highs", "highs-ds"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if lp.num_vars == 0:
+        if ((lp.row_lower <= 0.0) & (lp.row_upper >= 0.0)).all():
+            return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(0), True, backend)
+        return LPResult(LPStatus.INFEASIBLE, backend=backend)
     if backend == "simplex":
         return _solve_simplex(lp)
-    if backend in ("highs", "highs-ds"):
-        return _solve_scipy(lp, backend)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _solve_highs(lp, backend)
+
+
+def _dense_standard_form(lp: LinearProgram):
+    """``(A, b, c)`` of ``min c'x : Ax = b, x >= 0`` for the dense simplex.
+
+    Each finite row side gets its own row: an equality row stays one
+    row, ``a x <= hi`` gains a slack and ``a x >= lo`` a surplus column.
+    A finite column upper bound becomes a ``<=`` row.
+    """
+    if (lp.col_lower != 0.0).any():
+        raise ValueError("dense standard form requires lower bounds of 0")
+    n = lp.num_vars
+    entries = []  # (coefficients, rhs, +1 slack / -1 surplus / 0 none)
+    for a, lo, hi in zip(lp.dense_matrix(), lp.row_lower, lp.row_upper):
+        if lo == hi:
+            entries.append((a, hi, 0.0))
+            continue
+        if np.isfinite(hi):
+            entries.append((a, hi, 1.0))
+        if np.isfinite(lo):
+            entries.append((a, lo, -1.0))
+    for j in np.flatnonzero(np.isfinite(lp.col_upper)):
+        entries.append((np.eye(1, n, j)[0], lp.col_upper[j], 1.0))
+    signs = np.array([sign for _, _, sign in entries])
+    slack = np.flatnonzero(signs)
+    A = np.zeros((len(entries), n + slack.size))
+    for r, (a, _, _) in enumerate(entries):
+        A[r, :n] = a
+    A[slack, n + np.arange(slack.size)] = signs[slack]
+    b = np.array([rhs for _, rhs, _ in entries], dtype=np.float64)
+    c = np.zeros(A.shape[1])
+    c[:n] = lp.cost
+    return A, b, c
 
 
 def _solve_simplex(lp: LinearProgram) -> LPResult:
@@ -96,39 +166,77 @@ def _solve_simplex(lp: LinearProgram) -> LPResult:
             f"simplex backend limited to {_DENSE_SIMPLEX_LIMIT} variables "
             f"(model has {lp.num_vars}); use highs-ds"
         )
-    A, b, c, _names = lp.to_dense_standard_form()
+    A, b, c = _dense_standard_form(lp)
     res = simplex_solve(A, b, c)
     if res.status is not LPStatus.OPTIMAL:
         return LPResult(res.status, backend="simplex")
     x = res.x[: lp.num_vars]
     return LPResult(
         LPStatus.OPTIMAL,
-        objective=float(lp.objective_vector() @ x),
+        objective=float(lp.cost @ x),
         x=x,
         is_vertex=True,
         backend="simplex",
     )
 
 
-def _solve_scipy(lp: LinearProgram, method: str) -> LPResult:
-    """SciPy HiGHS backend (sparse)."""
-    c, a_ub, b_ub, a_eq, b_eq = lp.to_scipy_arrays()
-    res = optimize.linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=lp.bounds(),
-        method=method,
-    )
-    status = _SCIPY_STATUS.get(res.status, LPStatus.ERROR)
+def _solve_highs(lp: LinearProgram, backend: str) -> LPResult:
+    """HiGHS on the model's arrays, as ``linprog(method=backend)`` runs it."""
+    model = _highs.HighsLp()
+    model.num_col_ = lp.num_vars
+    model.num_row_ = lp.num_rows
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = lp.num_vars
+    matrix.num_row_ = lp.num_rows
+    # The bindings copy the model's vectors from NumPy buffers, but the
+    # matrix's element by element, which is faster from a list.
+    matrix.start_ = lp.indptr.tolist()
+    matrix.index_ = lp.indices.tolist()
+    matrix.value_ = lp.data.tolist()
+    model.col_cost_ = lp.cost
+    model.col_lower_ = lp.col_lower
+    model.col_upper_ = lp.col_upper
+    model.row_lower_ = lp.row_lower
+    model.row_upper_ = lp.row_upper
+
+    highs = _highs._Highs()
+    highs.passOptions(_OPTIONS[backend])
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        # linprog reports a rejected model as kModelError: infeasible.
+        return LPResult(LPStatus.INFEASIBLE, backend=backend)
+    highs.run()
+    status = _HIGHS_STATUS.get(highs.getModelStatus(), LPStatus.ERROR)
     if status is not LPStatus.OPTIMAL:
-        return LPResult(status, backend=method)
+        return LPResult(status, backend=backend)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value, dtype=np.float64)
+    objective = highs.getInfo().objective_function_value
+    if not _within_bounds(lp, x, objective, np.asarray(solution.row_value)):
+        return LPResult(LPStatus.ERROR, backend=backend)
     return LPResult(
         LPStatus.OPTIMAL,
-        objective=float(res.fun),
-        x=np.asarray(res.x, dtype=np.float64),
-        is_vertex=(method == "highs-ds"),
-        backend=method,
+        objective=float(objective),
+        x=x,
+        is_vertex=(backend == "highs-ds"),
+        backend=backend,
+    )
+
+
+def _within_bounds(
+    lp: LinearProgram, x: np.ndarray, objective: float, rows: np.ndarray
+) -> bool:
+    """``linprog``'s post-solve check of an OPTIMAL HiGHS point.
+
+    No NaN, and every column value and row activity within its bounds up
+    to ``sqrt(1e-9) * 10``.  A point that fails is reported as ERROR.
+    """
+    if np.isnan(x).any() or np.isnan(objective) or np.isnan(rows).any():
+        return False
+    tol = _CHECK_TOL
+    return not (
+        (x < lp.col_lower - tol).any()
+        or (x > lp.col_upper + tol).any()
+        or (lp.row_upper - rows < -tol).any()
+        or (rows - lp.row_lower < -tol).any()
     )

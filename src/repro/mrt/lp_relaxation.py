@@ -15,57 +15,62 @@ bound for ρ in the binary search and as the Figure 7 baseline).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import itertools
 
-from repro.lp.model import LinearProgram, Sense
+import numpy as np
+
+from repro.lp.model import LinearProgram, port_rows
 from repro.lp.result import LPResult
 from repro.lp.solver import solve_lp
 from repro.mrt.time_constrained import TimeConstrainedInstance
 
-# Variable naming convention shared with the rounding module.
-VarName = Tuple[str, int, int]  # ("x", fid, t)
+
+def active_columns(tci: TimeConstrainedInstance):
+    """``(flow, round)`` of LP (19)–(21)'s columns: flow-major, each
+    flow's active rounds in order."""
+    lengths = [len(rounds) for rounds in tci.active_rounds]
+    flow = np.repeat(np.arange(len(lengths)), lengths)
+    rounds = np.fromiter(
+        itertools.chain.from_iterable(tci.active_rounds),
+        dtype=np.int64,
+        count=flow.size,
+    )
+    return flow, rounds
 
 
 def build_time_constrained_lp(tci: TimeConstrainedInstance) -> LinearProgram:
     """Construct LP (19)–(21) for ``tci``.
 
-    Constraint names: ``("assign", fid)`` for (20) and
-    ``("cap", side, port, t)`` with ``side in {"in", "out"}`` for (19).
-    Capacity rows are only emitted for (port, round) pairs actually
-    touched by some variable — absent rows are vacuous.
+    Columns are :func:`active_columns`.  Rows, in order: the input-port
+    capacity rows (19) of the touched (port, round) pairs, sorted; the
+    output-port rows, sorted likewise; then the assignment rows (20) in
+    flow order, with both bounds 1.  A column's coefficient is ``d_e``
+    in its two capacity rows and 1 in its assignment row.  Capacity rows
+    are only emitted for touched pairs — absent rows are vacuous — and
+    no column needs an upper bound, because (20) caps each at 1.
     """
     inst = tci.instance
-    lp = LinearProgram()
-    # (21) x >= 0 is the default variable bound; no upper bound needed
-    # because (20) caps each variable at 1.
-    in_touch: Dict[Tuple[int, int], Dict[VarName, float]] = {}
-    out_touch: Dict[Tuple[int, int], Dict[VarName, float]] = {}
-    for fid, rounds in enumerate(tci.active_rounds):
-        flow = inst.flows[fid]
-        assign_coeffs: Dict[VarName, float] = {}
-        for t in rounds:
-            name: VarName = ("x", fid, t)
-            lp.add_variable(name)
-            assign_coeffs[name] = 1.0
-            in_touch.setdefault((flow.src, t), {})[name] = float(flow.demand)
-            out_touch.setdefault((flow.dst, t), {})[name] = float(flow.demand)
-        lp.add_constraint(("assign", fid), assign_coeffs, Sense.EQ, 1.0)
-
-    for (p, t), coeffs in sorted(in_touch.items()):
-        lp.add_constraint(
-            ("cap", "in", p, t),
-            coeffs,
-            Sense.LE,
-            float(inst.switch.input_capacity(p)),
-        )
-    for (q, t), coeffs in sorted(out_touch.items()):
-        lp.add_constraint(
-            ("cap", "out", q, t),
-            coeffs,
-            Sense.LE,
-            float(inst.switch.output_capacity(q)),
-        )
-    return lp
+    sw = inst.switch
+    flow, rounds = active_columns(tci)
+    in_row, in_port = port_rows(inst.srcs()[flow], rounds)
+    out_row, out_port = port_rows(inst.dsts()[flow], rounds)
+    num_cap = in_port.size + out_port.size
+    rows = np.stack([in_row, in_port.size + out_row, num_cap + flow], axis=1)
+    demand = inst.demands()[flow].astype(np.float64)
+    values = np.stack([demand, demand, np.ones(flow.size)], axis=1)
+    capacity = np.concatenate(
+        [sw.input_capacities[in_port], sw.output_capacities[out_port]]
+    ).astype(np.float64)
+    ones = np.ones(inst.num_flows)
+    return LinearProgram.from_columns(
+        np.zeros(flow.size),
+        rows,
+        values,
+        np.concatenate([np.full(num_cap, -np.inf), ones]),
+        np.concatenate([capacity, ones]),
+        flow=flow,
+        round=rounds,
+    )
 
 
 def solve_fractional(
@@ -81,5 +86,10 @@ def solve_fractional(
 def is_fractionally_feasible(
     tci: TimeConstrainedInstance, backend: str = "auto"
 ) -> bool:
-    """Feasibility predicate used by the ρ binary search."""
-    return solve_fractional(tci, backend=backend, need_vertex=False).is_optimal
+    """Feasibility predicate used by the ρ binary search.
+
+    Only an INFEASIBLE solve means "not schedulable"; a solve that ends
+    any other way without an optimum raises ``RuntimeError``.
+    """
+    result = solve_fractional(tci, backend=backend, need_vertex=False)
+    return result.is_feasible("LP (19)-(21)")

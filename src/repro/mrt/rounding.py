@@ -29,19 +29,20 @@ the theorem's bound held.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
+from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.lp.model import LinearProgram, Sense
+from repro.lp.model import LinearProgram
 from repro.lp.solver import solve_lp
+from repro.mrt.lp_relaxation import active_columns
 from repro.mrt.time_constrained import TimeConstrainedInstance
 
 _TOL = 1e-7
-
-PortRound = Tuple[str, int, int]  # (side, port, t)
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,34 @@ class RoundingResult:
     fallback_drops: int = 0
 
 
+def _capacity_rows(inst: Instance, flow: np.ndarray, rounds: np.ndarray):
+    """Capacity rows (19) of the columns, numbered by first appearance.
+
+    Scanning the columns in order, each column's input row comes before
+    its output row.  Returns each column's input and output row and each
+    row's capacity.
+    """
+    sw = inst.switch
+    span = int(rounds.max()) + 1
+    keys = np.stack(
+        [
+            inst.srcs()[flow] * span + rounds,
+            (sw.num_inputs + inst.dsts()[flow]) * span + rounds,
+        ],
+        axis=1,
+    ).ravel()
+    pairs, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    row = number[inverse].reshape(-1, 2)
+    capacities = np.concatenate([sw.input_capacities, sw.output_capacities])
+    capacity = capacities[pairs[order] // span].astype(np.float64)
+    return row[:, 0], row[:, 1], capacity
+
+
 def round_time_constrained(
     tci: TimeConstrainedInstance,
     backend: str = "auto",
@@ -81,6 +110,31 @@ def round_time_constrained(
     ``timer`` (an optional :class:`repro.utils.timing.Timer`) receives a
     ``rounding_lp`` event per residual-LP solve, so callers (AMRT, the
     FS-MRT adapter) can report where the wall-clock goes.
+
+    The state lives in arrays over LP (19)–(21)'s columns
+    (:func:`~repro.mrt.lp_relaxation.active_columns`) and capacity rows:
+
+    * ``alive`` marks the columns still in play;
+    * ``assigned`` holds each flow's round (-1 while unfixed);
+    * each capacity row has a residual capacity and an ``active`` flag
+      (a dropped row is unconstrained).  Rows are numbered by first
+      appearance over the columns, input row before output row.
+
+    Each residual LP is a column-and-row subset of one matrix: the alive
+    columns, flow-major; the active capacity rows that touch an alive
+    column, in row order, bounded above by their residuals; then one
+    assignment row per unfixed flow.  After each solve:
+
+    * an unfixed flow's first column at ``>= 1 - 1e-7`` fixes it: all
+      its columns die, and its two rows' residuals drop by ``d_e``
+      where those rows are still active;
+    * every other unfixed flow loses its columns at ``<= 1e-7``;
+    * every active row whose surviving demand is at most
+      ``residual + 2 d_max - 1 + 1e-7`` is dropped;
+    * if none of that happened, the active row with the smallest
+      surviving demand minus residual is dropped (the fallback).
+
+    Capacities and demands are integers, so the residuals stay exact.
     """
     inst = tci.instance
     n = inst.num_flows
@@ -88,71 +142,16 @@ def round_time_constrained(
         return RoundingResult(
             Schedule(inst, np.zeros(0, dtype=np.int64)), True
         )
-    d_max = inst.max_demand
-    slack_budget = 2 * d_max - 1
-
-    # Mutable rounding state.
-    candidates: List[List[int]] = [list(rs) for rs in tci.active_rounds]
+    slack_budget = 2 * inst.max_demand - 1
+    flow, rounds = active_columns(tci)
+    demand = inst.demands()[flow]
+    in_row, out_row, residual = _capacity_rows(inst, flow, rounds)
+    num_rows = residual.size
+    alive = np.ones(flow.size, dtype=bool)
+    active = np.ones(num_rows, dtype=bool)
     assigned = np.full(n, -1, dtype=np.int64)
-    # Residual capacity per *active* capacity row; dropping a row removes
-    # it from this dict (it is then unconstrained).
-    residual: Dict[PortRound, float] = {}
-    row_vars: Dict[PortRound, Set[Tuple[int, int]]] = {}
-    for fid, rounds in enumerate(tci.active_rounds):
-        flow = inst.flows[fid]
-        for t in rounds:
-            for key in (("in", flow.src, t), ("out", flow.dst, t)):
-                if key not in residual:
-                    side, port, _ = key
-                    cap = (
-                        inst.switch.input_capacity(port)
-                        if side == "in"
-                        else inst.switch.output_capacity(port)
-                    )
-                    residual[key] = float(cap)
-                    row_vars[key] = set()
-                row_vars[key].add((fid, t))
-
     iterations = 0
     fallback_drops = 0
-
-    def row_keys_of(fid: int, t: int) -> tuple[PortRound, PortRound]:
-        flow = inst.flows[fid]
-        return ("in", flow.src, t), ("out", flow.dst, t)
-
-    def remove_var(fid: int, t: int) -> None:
-        """Delete variable (fid, t) from candidates and row indexes."""
-        candidates[fid].remove(t)
-        for key in row_keys_of(fid, t):
-            if key in row_vars:
-                row_vars[key].discard((fid, t))
-
-    def fix_flow(fid: int, t: int) -> None:
-        """Permanently assign flow ``fid`` to round ``t``."""
-        demand = inst.flows[fid].demand
-        assigned[fid] = t
-        for other_t in list(candidates[fid]):
-            remove_var(fid, other_t)
-        for key in row_keys_of(fid, t):
-            if key in residual:
-                residual[key] -= demand
-                # Numerical guard: residuals are integers in exact
-                # arithmetic; clamp tiny negatives.
-                if -_TOL < residual[key] < 0:
-                    residual[key] = 0.0
-
-    def droppable(key: PortRound) -> bool:
-        """Row can never exceed original capacity by more than budget."""
-        surviving = sum(inst.flows[fid].demand for fid, _ in row_vars[key])
-        return surviving <= residual[key] + slack_budget + _TOL
-
-    def sweep_drops() -> int:
-        dropped = 0
-        for key in [k for k in residual if droppable(k)]:
-            del residual[key]
-            del row_vars[key]
-            dropped += 1
-        return dropped
 
     # NOTE: no constraint may be dropped before the first LP solve — the
     # first solve must decide feasibility of the *full* LP (19)-(21)
@@ -163,68 +162,77 @@ def round_time_constrained(
 
     while (assigned < 0).any():
         unfixed = np.flatnonzero(assigned < 0)
+        cols = np.flatnonzero(alive)
 
-        # Build the residual LP.
-        lp = LinearProgram()
-        for fid in unfixed:
-            coeffs = {}
-            for t in candidates[fid]:
-                lp.add_variable(("x", int(fid), t))
-                coeffs[("x", int(fid), t)] = 1.0
-            lp.add_constraint(("assign", int(fid)), coeffs, Sense.EQ, 1.0)
-        for key in list(residual):
-            coeffs = {
-                ("x", fid, t): float(inst.flows[fid].demand)
-                for fid, t in row_vars[key]
-                if assigned[fid] < 0
-            }
-            if coeffs:
-                lp.add_constraint(key, coeffs, Sense.LE, residual[key])
+        # The residual LP.
+        touched = np.zeros(num_rows, dtype=bool)
+        touched[in_row[cols]] = True
+        touched[out_row[cols]] = True
+        emitted = active & touched
+        num_cap = int(emitted.sum())
+        number = np.where(emitted, np.cumsum(emitted) - 1, -1)
+        rows = np.stack(
+            [
+                number[in_row[cols]],
+                number[out_row[cols]],
+                num_cap + np.searchsorted(unfixed, flow[cols]),
+            ],
+            axis=1,
+        )
+        d = demand[cols].astype(np.float64)
+        ones = np.ones(unfixed.size)
+        lp = LinearProgram.from_columns(
+            np.zeros(cols.size),
+            rows,
+            np.stack([d, d, np.ones(cols.size)], axis=1),
+            np.concatenate([np.full(num_cap, -np.inf), ones]),
+            np.concatenate([residual[emitted], ones]),
+        )
 
-        if timer is not None:
-            with timer.measure("rounding_lp"):
-                result = solve_lp(lp, backend=backend, need_vertex=True)
-        else:
+        measure = timer.measure("rounding_lp") if timer else nullcontext()
+        with measure:
             result = solve_lp(lp, backend=backend, need_vertex=True)
         iterations += 1
+        if iterations == 1 and not result.is_feasible("LP (19)-(21)"):
+            return RoundingResult(None, False, iterations=iterations)
         if not result.is_optimal:
-            if iterations == 1:
-                return RoundingResult(None, False, iterations=iterations)
             raise RuntimeError(
-                "residual LP became infeasible mid-rounding; this "
-                "contradicts the relaxation invariant"
+                f"residual LP ended {result.status.name} mid-rounding; "
+                "this contradicts the relaxation invariant"
             )
-        values = lp.solution_by_name(result.x)
+        x = result.x
 
-        progressed = False
-        for fid in unfixed:
-            fid = int(fid)
-            xs = [(t, values[("x", fid, t)]) for t in candidates[fid]]
-            one_t = next((t for t, v in xs if v >= 1 - _TOL), None)
-            if one_t is not None:
-                fix_flow(fid, one_t)
-                progressed = True
-                continue
-            for t, v in xs:
-                if v <= _TOL:
-                    remove_var(fid, t)
-                    progressed = True
+        # Fix each flow at its first column at 1; debit its active rows.
+        at_one = cols[x >= 1 - _TOL]
+        fixed, first = np.unique(flow[at_one], return_index=True)
+        fix = at_one[first]
+        assigned[fixed] = rounds[fix]
+        debit_rows = np.concatenate([in_row[fix], out_row[fix]])
+        debit = np.concatenate([demand[fix], demand[fix]])
+        debited = active[debit_rows]
+        np.subtract.at(residual, debit_rows[debited], debit[debited])
+        # Other flows lose their zero columns; fixed flows lose them all.
+        zero = cols[(x <= _TOL) & (assigned[flow[cols]] < 0)]
+        alive[zero] = False
+        alive[assigned[flow] >= 0] = False
+        progressed = fix.size > 0 or zero.size > 0
 
-        if sweep_drops():
+        # Drop every row that can no longer exceed its budget.
+        live = np.flatnonzero(alive)
+        surviving = np.bincount(
+            in_row[live], demand[live], minlength=num_rows
+        ) + np.bincount(out_row[live], demand[live], minlength=num_rows)
+        droppable = active & (surviving <= residual + slack_budget + _TOL)
+        if droppable.any():
+            active[droppable] = False
             progressed = True
 
         if not progressed:
             # Defensive fallback: drop the active row closest to droppable.
             fallback_drops += 1
-            key = min(
-                residual,
-                key=lambda k: sum(
-                    inst.flows[fid].demand for fid, _ in row_vars[k]
-                )
-                - residual[k],
-            )
-            del residual[key]
-            del row_vars[key]
+            candidates = np.flatnonzero(active)
+            gap = surviving[candidates] - residual[candidates]
+            active[candidates[np.argmin(gap)]] = False
 
     schedule = Schedule(inst, assigned)
     return RoundingResult(

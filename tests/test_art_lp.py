@@ -14,16 +14,16 @@ from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import total_response_time
 from repro.core.switch import Switch
-from repro.lp.model import LinearProgram, Sense
 from repro.lp.solver import solve_lp
 from repro.mrt.exact import exact_min_total_response
+from tests import lp_reference as ref
 from tests.conftest import capacitated_instances, unit_instances
 
 
 def full_horizon_lp(inst, horizon):
     """LP (1)-(4) with every round ``r_e <= t < horizon`` for every flow."""
     sw = inst.switch
-    lp = LinearProgram()
+    lp = ref.NamedLP()
     rows = {}
     for f in inst.flows:
         coeffs = {}
@@ -37,11 +37,18 @@ def full_horizon_lp(inst, horizon):
             coeffs[name] = 1.0
             rows.setdefault(("in", f.src, t), {})[name] = 1.0
             rows.setdefault(("out", f.dst, t), {})[name] = 1.0
-        lp.add_constraint(("flow", f.fid), coeffs, Sense.GE, float(f.demand))
+        demand = float(f.demand)
+        lp.add_constraint(("flow", f.fid), coeffs, ref.Sense.GE, demand)
     for (side, p, t), coeffs in rows.items():
         cap = sw.input_capacity(p) if side == "in" else sw.output_capacity(p)
-        lp.add_constraint(("cap", side, p, t), coeffs, Sense.LE, float(cap))
-    return lp
+        cap = float(cap)
+        lp.add_constraint(("cap", side, p, t), coeffs, ref.Sense.LE, cap)
+    return ref.to_model(lp)
+
+
+def columns(lp):
+    """``[(flow, round), ...]`` of a model's columns, in order."""
+    return list(zip(lp.flow.tolist(), lp.round.tolist()))
 
 
 def window_ends(inst, horizon):
@@ -76,8 +83,8 @@ def check_windows_keep_optimum(inst):
         else:
             windowed = build_fractional_art_lp(inst, horizon)
         ends = window_ends(inst, horizon)
-        assert windowed.variable_names == [
-            ("b", f.fid, t)
+        assert columns(windowed) == [
+            (f.fid, t)
             for f in inst.flows
             for t in range(f.release, ends[f.fid])
         ]
@@ -87,7 +94,7 @@ def check_windows_keep_optimum(inst):
         assert value == pytest.approx(full_result.objective, rel=1e-9)
         outside = sum(
             x
-            for (_b, fid, t), x in zip(full.variable_names, full_result.x)
+            for (fid, t), x in zip(columns(full), full_result.x)
             if t >= ends[fid]
         )
         assert outside <= 1e-9
@@ -97,8 +104,7 @@ class TestLPConstruction:
     def test_variables_start_at_release(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 0, 1, 3)])
         lp = build_fractional_art_lp(inst, horizon=6)
-        assert lp.has_var(("b", 0, 3))
-        assert not lp.has_var(("b", 0, 2))
+        assert columns(lp) == [(0, 3), (0, 4), (0, 5)]
         assert lp.num_vars == 3
 
     def test_objective_coefficient_formula(self):
@@ -106,9 +112,8 @@ class TestLPConstruction:
         sw = Switch.create(1, 1, 2)
         inst = Instance.create(sw, [Flow(0, 0, demand=2, release=1)])
         lp = build_fractional_art_lp(inst, horizon=3)
-        c = lp.objective_vector()
-        assert c[lp.var(("b", 0, 1))] == pytest.approx(0.0 / 2 + 0.25)
-        assert c[lp.var(("b", 0, 2))] == pytest.approx(1.0 / 2 + 0.25)
+        assert columns(lp) == [(0, 1), (0, 2)]
+        assert lp.cost.tolist() == [0.0 / 2 + 0.25, 1.0 / 2 + 0.25]
 
     def test_windows_follow_port_loads(self):
         # Port 0 carries 3 unit flows, so flow 0 may wait floor(3/1) = 3
@@ -117,7 +122,7 @@ class TestLPConstruction:
             Switch.create(3), [Flow(0, 0), Flow(0, 1), Flow(0, 2)]
         )
         lp = build_fractional_art_lp(inst, horizon=20)
-        assert lp.has_var(("b", 0, 4)) and not lp.has_var(("b", 0, 5))
+        assert lp.round[lp.flow == 0].tolist() == [0, 1, 2, 3, 4]
         assert build_fractional_art_lp(inst, horizon=3).num_vars == 9
 
     def test_horizon_must_cover_releases(self):
@@ -128,10 +133,13 @@ class TestLPConstruction:
     def test_interval_lp0_blocks(self):
         inst = Instance.create(Switch.create(1, 1), [Flow(0, 0)])
         lp = build_interval_lp0(inst, horizon=2 * BLOCK)
-        blk_rows = [c for c in lp.constraints if c.name[0] == "blk"]
-        # Rounds 0..7 -> blocks 0 and 1 for each side.
-        assert len(blk_rows) == 4
-        assert all(c.rhs == float(BLOCK) for c in blk_rows)
+        # One covering row, then rounds 0..7 -> blocks 0 and 1 per side.
+        assert lp.num_rows == 1 + 4
+        assert lp.row_upper[1:].tolist() == [float(BLOCK)] * 4
+        # Rounds 0-3 share the side's first block row, 4-7 its second.
+        A = lp.dense_matrix()
+        assert A[1].tolist() == [1.0] * BLOCK + [0.0] * BLOCK
+        assert A[4].tolist() == [0.0] * BLOCK + [1.0] * BLOCK
 
     def test_interval_lp0_is_relaxation_of_fractional(self):
         """LP(0)'s optimum never exceeds the per-round LP's (unit case)."""

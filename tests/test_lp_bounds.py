@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.api import get_solver
 from repro.art.lp_relaxation import art_lp_lower_bound
 from repro.core.flow import Flow
 from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
 from repro.core.switch import Switch
+from repro.lp import bounds as bounds_module
 from repro.lp.bounds import (
     LPBoundOracle,
     art_lower_bound,
@@ -17,7 +19,10 @@ from repro.lp.bounds import (
     counting_lower_bound,
     mrt_lower_bound,
 )
-from repro.mrt.algorithm import fractional_mrt_lower_bound
+from repro.lp.result import LPResult, LPStatus
+from repro.mrt import lp_relaxation as mrt_lp_module
+from repro.mrt import rounding as rounding_module
+from repro.mrt.algorithm import fractional_mrt_lower_bound, solve_mrt
 from repro.mrt.exact import exact_min_max_response
 from repro.mrt.lp_relaxation import is_fractionally_feasible
 from repro.mrt.time_constrained import from_response_bound
@@ -410,3 +415,64 @@ def test_golden_values(load):
         assert mrt_lower_bound(inst) == rho_star
         value = art_lower_bound(inst, horizon=inst.compact_horizon_bound())
         assert value == pytest.approx(lp_value, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def undecided_instance():
+    # rho* = 7 on the port-load floor, below the greedy cap of 8, so the
+    # oracle solves LP (19)-(21) once to certify it.
+    return poisson_uniform_workload(8, 8.0, 6, seed=2)
+
+
+def _solve_ending(status):
+    def solve(lp, backend="auto", need_vertex=False):
+        return LPResult(status, backend="highs")
+
+    return solve
+
+
+UNDECIDED = [LPStatus.ERROR, LPStatus.UNBOUNDED]
+
+
+class TestUndecidedSolves:
+    """Only INFEASIBLE proves infeasibility; any other non-optimal solve
+    (an error, a limit, "unbounded or infeasible") raises instead."""
+
+    def test_instance_needs_a_solve(self, undecided_instance):
+        oracle = LPBoundOracle(undecided_instance)
+        assert (oracle.lower_bound(), oracle.rho_cap) == (7, 8)
+        assert oracle.solves == 1
+
+    @pytest.mark.parametrize("status", UNDECIDED)
+    def test_oracle_raises(self, undecided_instance, monkeypatch, status):
+        monkeypatch.setattr(bounds_module, "solve_lp", _solve_ending(status))
+        oracle = LPBoundOracle(undecided_instance)
+        with pytest.raises(RuntimeError, match=status.name):
+            oracle.lower_bound()
+        assert not oracle._feasible.get(7)
+        with pytest.raises(RuntimeError, match=status.name):
+            solve_mrt(undecided_instance)
+
+    @pytest.mark.parametrize("status", UNDECIDED)
+    def test_fractional_feasibility_raises(
+        self, undecided_instance, monkeypatch, status
+    ):
+        monkeypatch.setattr(mrt_lp_module, "solve_lp", _solve_ending(status))
+        with pytest.raises(RuntimeError, match=status.name):
+            tci = from_response_bound(undecided_instance, 7)
+            is_fractionally_feasible(tci)
+
+    @pytest.mark.parametrize("status", UNDECIDED)
+    def test_time_constrained_raises(
+        self, undecided_instance, monkeypatch, status
+    ):
+        monkeypatch.setattr(rounding_module, "solve_lp", _solve_ending(status))
+        with pytest.raises(RuntimeError, match=status.name):
+            get_solver("TimeConstrained").solve(undecided_instance, rho=7)
+
+    def test_infeasible_still_means_infeasible(self, undecided_instance):
+        tci = from_response_bound(undecided_instance, 6)
+        assert not is_fractionally_feasible(tci)
+        assert not get_solver("TimeConstrained").solve(
+            undecided_instance, rho=6
+        ).feasible

@@ -1,132 +1,120 @@
-"""Unit tests for the LP model builder."""
+"""Unit tests for the array LP model."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from repro.lp.model import LinearProgram, Sense
+from repro.lp.model import LinearProgram, port_rows
+from repro.lp.solver import _dense_standard_form, solve_lp
+
+
+def _no_rows(cost):
+    """A model with the given costs and no rows."""
+    empty = np.zeros((len(cost), 0))
+    return LinearProgram.from_columns(cost, empty, empty, [], [])
+
+
+def _model():
+    """min x + 2y  s.t.  x + y <= 5,  2x >= 1 (stored -2x <= -1),  y == 2."""
+    return LinearProgram.from_columns(
+        [1.0, 2.0],
+        [[0, 1], [2, 0]],
+        [[1.0, -2.0], [1.0, 1.0]],
+        [-np.inf, -np.inf, 2.0],
+        [5.0, -1.0, 2.0],
+    )
 
 
 class TestVariables:
     def test_add_and_lookup(self):
-        lp = LinearProgram()
-        idx = lp.add_variable("x", objective=2.0)
-        assert lp.var("x") == idx
-        assert lp.has_var("x")
-        assert not lp.has_var("y")
-        assert lp.num_vars == 1
+        """A column is found by the flow and round it was built with."""
+        lp = LinearProgram.from_columns(
+            [0.0, 0.0, 0.0],
+            [[0], [0], [1]],
+            [[1.0], [1.0], [1.0]],
+            [1.0, 1.0],
+            [1.0, 1.0],
+            flow=np.array([0, 0, 1]),
+            round=np.array([3, 4, 3]),
+        )
+        assert lp.num_vars == 3 and lp.num_rows == 2
+        (j,) = np.flatnonzero((lp.flow == 0) & (lp.round == 4))
+        assert j == 1
 
     def test_duplicate_rejected(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(ValueError, match="duplicate"):
-            lp.add_variable("x")
-
-    def test_tuple_names(self):
-        lp = LinearProgram()
-        lp.add_variable(("b", 0, 3))
-        assert lp.has_var(("b", 0, 3))
-
-    def test_set_objective(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        lp.set_objective("x", 5.0)
-        assert lp.objective_vector().tolist() == [5.0]
+        with pytest.raises(ValueError, match="twice"):
+            LinearProgram.from_columns(
+                [0.0], [[0, 0]], [[1.0, 2.0]], [0.0], [1.0]
+            )
 
     def test_bounds_default(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        assert lp.bounds() == [(0.0, np.inf)]
+        lp = _model()
+        assert lp.col_lower.tolist() == [0.0, 0.0]
+        assert lp.col_upper.tolist() == [np.inf, np.inf]
 
 
 class TestConstraintsAndExport:
-    def _model(self):
-        lp = LinearProgram()
-        lp.add_variable("x", 1.0)
-        lp.add_variable("y", 2.0)
-        lp.add_constraint("le", {"x": 1, "y": 1}, Sense.LE, 5)
-        lp.add_constraint("ge", {"x": 2}, Sense.GE, 1)
-        lp.add_constraint("eq", {"y": 1}, Sense.EQ, 2)
-        return lp
-
     def test_zero_coefficients_dropped(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        con = lp.add_constraint("c", {"x": 0.0}, Sense.LE, 1)
-        assert con.coeffs == {}
+        lp = LinearProgram.from_columns(
+            [0.0], [[0, 1]], [[0.0, 3.0]], [0.0, 0.0], [1.0, 1.0]
+        )
+        assert lp.indices.tolist() == [1]
+        assert lp.data.tolist() == [3.0]
 
     def test_scipy_arrays(self):
-        lp = self._model()
-        c, a_ub, b_ub, a_eq, b_eq = lp.to_scipy_arrays()
-        assert c.tolist() == [1.0, 2.0]
-        assert a_ub.shape == (2, 2)
-        # GE row negated into LE form.
-        assert b_ub.tolist() == [5.0, -1.0]
-        assert a_ub.toarray()[1].tolist() == [-2.0, 0.0]
-        assert a_eq.shape == (1, 2)
-        assert b_eq.tolist() == [2.0]
+        """The matrix is in SciPy's CSC layout, rows ascending per column."""
+        lp = _model()
+        assert lp.indptr.tolist() == [0, 2, 4]
+        assert lp.indices.tolist() == [0, 1, 0, 2]
+        A = sparse.csc_array((lp.data, lp.indices, lp.indptr), shape=(3, 2))
+        # The >= row is stored negated, in <= form.
+        assert A.toarray().tolist() == [[1.0, 1.0], [-2.0, 0.0], [0.0, 1.0]]
+        assert np.array_equal(A.toarray(), lp.dense_matrix())
 
     def test_dense_standard_form_slacks(self):
-        lp = self._model()
-        A, b, c, names = lp.to_dense_standard_form()
-        # 3 rows, 2 structural + 2 slack columns (LE and GE).
+        A, b, c = _dense_standard_form(_model())
+        # 3 rows, 2 structural + 2 slack columns (the two <= rows).
         assert A.shape == (3, 4)
-        assert names == ["x", "y"]
-        assert A[0, 2] == 1.0  # LE slack
-        assert A[1, 3] == -1.0  # GE surplus
+        assert A[0, 2] == 1.0 and A[1, 3] == 1.0
+        assert b.tolist() == [5.0, -1.0, 2.0]
+        assert c.tolist() == [1.0, 2.0, 0.0, 0.0]
 
     def test_dense_standard_form_upper_bounds_become_rows(self):
-        lp = LinearProgram()
-        lp.add_variable("x", 1.0, upper=3.0)
-        A, b, c, _ = lp.to_dense_standard_form()
+        lp = _no_rows([1.0])
+        lp.col_upper[0] = 3.0
+        A, b, c = _dense_standard_form(lp)
         assert A.shape == (1, 2)
         assert b.tolist() == [3.0]
 
     def test_dense_standard_form_rejects_nonzero_lower(self):
-        lp = LinearProgram()
-        lp.add_variable("x", lower=1.0)
+        lp = _no_rows([1.0])
+        lp.col_lower[0] = 1.0
         with pytest.raises(ValueError, match="lower bounds"):
-            lp.to_dense_standard_form()
+            _dense_standard_form(lp)
 
-    def test_solution_by_name(self):
-        lp = self._model()
-        sol = lp.solution_by_name(np.array([1.5, 2.0]))
-        assert sol == {"x": 1.5, "y": 2.0}
+    def test_dense_standard_form_range_rows(self):
+        """A row with two finite sides becomes a slack and a surplus row."""
+        lp = LinearProgram.from_columns([1.0], [[0]], [[1.0]], [1.0], [4.0])
+        A, b, _ = _dense_standard_form(lp)
+        assert A.tolist() == [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0]]
+        assert b.tolist() == [4.0, 1.0]
 
 
 class TestBoundMutation:
-    def _model(self):
-        lp = LinearProgram()
-        lp.add_variable("x", 1.0)
-        lp.add_variable("y", 2.0)
-        lp.add_constraint("c", {"x": 1.0, "y": 1.0}, Sense.LE, 4.0)
-        return lp
-
-    def test_set_bounds_by_name(self):
-        lp = self._model()
-        lp.set_bounds("x", 0.0, 0.0)
-        assert lp.bounds()[0] == (0.0, 0.0)
-        assert lp.bounds()[1] == (0.0, np.inf)
-
     def test_set_upper_bounds_vectorized(self):
-        lp = self._model()
-        lp.set_upper_bounds(np.array([5.0, np.inf]))
-        assert lp.bounds() == [(0.0, 5.0), (0.0, np.inf)]
-        with pytest.raises(ValueError, match="upper bounds"):
-            lp.set_upper_bounds([1.0])
+        """Replacing ``col_upper`` restricts the next solve (the oracle's
+        mask), and a zero upper bound removes a column."""
+        lp = LinearProgram.from_columns(
+            [-1.0, -2.0], [[0], [0]], [[1.0], [1.0]], [-np.inf], [4.0]
+        )
+        assert solve_lp(lp).objective == pytest.approx(-8.0)
+        lp.col_upper = np.array([np.inf, 0.0])
+        assert solve_lp(lp).objective == pytest.approx(-4.0)
 
-    def test_scipy_matrices_memoised_across_bound_changes(self):
-        lp = self._model()
-        _, a_ub1, b_ub1, _, _ = lp.to_scipy_arrays()
-        lp.set_upper_bounds([0.0, 0.0])  # bounds don't touch the matrices
-        _, a_ub2, b_ub2, _, _ = lp.to_scipy_arrays()
-        assert a_ub2 is a_ub1 and b_ub2 is b_ub1
 
-    def test_scipy_matrices_invalidated_by_structure(self):
-        lp = self._model()
-        _, a_ub1, _, _, _ = lp.to_scipy_arrays()
-        lp.add_variable("z")
-        lp.add_constraint("c2", {"z": 1.0}, Sense.LE, 1.0)
-        _, a_ub2, b_ub2, _, _ = lp.to_scipy_arrays()
-        assert a_ub2 is not a_ub1
-        assert a_ub2.shape == (2, 3)
-        assert b_ub2.tolist() == [4.0, 1.0]
+class TestPortRows:
+    def test_rows_sorted_by_port_then_key(self):
+        row, port = port_rows(np.array([1, 0, 1, 0]), np.array([2, 5, 0, 5]))
+        # Distinct pairs sorted: (0, 5), (1, 0), (1, 2).
+        assert port.tolist() == [0, 1, 1]
+        assert row.tolist() == [2, 0, 1, 0]

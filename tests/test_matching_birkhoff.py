@@ -95,7 +95,10 @@ class TestFromLP:
         )
         lp = build_fractional_art_lp(inst)
         res = solve_lp(lp)
-        values = lp.solution_by_name(res.x)
+        values = {
+            ("b", fid, t): x
+            for fid, t, x in zip(lp.flow.tolist(), lp.round.tolist(), res.x)
+        }
         for t in range(3):
             R = rates_from_lp_solution(values, 3, 3, t, inst.flows)
             assert (R.sum(axis=0) <= 1 + 1e-7).all()

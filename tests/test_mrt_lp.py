@@ -1,5 +1,6 @@
 """Tests for LP (19)-(21), the Time-Constrained relaxation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -25,25 +26,27 @@ class TestLPConstruction:
         tci = TimeConstrainedInstance(inst, ((0, 2), (1,)))
         lp = build_time_constrained_lp(tci)
         assert lp.num_vars == 3
-        assert lp.has_var(("x", 0, 2))
-        assert not lp.has_var(("x", 0, 1))
+        assert lp.flow.tolist() == [0, 0, 1]
+        assert lp.round.tolist() == [0, 2, 1]
 
     def test_capacity_rows_only_where_touched(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 0)])
         tci = TimeConstrainedInstance(inst, ((0, 1),))
         lp = build_time_constrained_lp(tci)
-        cap_rows = [c for c in lp.constraints if c.name[0] == "cap"]
-        # (in,0,0),(in,0,1),(out,0,0),(out,0,1) and nothing for port 1.
-        assert len(cap_rows) == 4
+        # (in,0,0),(in,0,1),(out,0,0),(out,0,1) and nothing for port 1,
+        # then the flow's assignment row.
+        assert lp.num_rows == 4 + 1
+        assert np.isinf(lp.row_lower[:4]).all()
+        assert lp.row_lower[4] == lp.row_upper[4] == 1.0
 
     def test_demand_coefficients(self):
         sw = Switch.create(1, 1, 3)
         inst = Instance.create(sw, [Flow(0, 0, demand=2)])
         tci = TimeConstrainedInstance(inst, ((0,),))
         lp = build_time_constrained_lp(tci)
-        cap = next(c for c in lp.constraints if c.name[0] == "cap")
-        assert list(cap.coeffs.values()) == [2.0]
-        assert cap.rhs == 3.0
+        # Capacity rows (in, out) carry d_e = 2, the assignment row 1.
+        assert lp.dense_matrix()[:, 0].tolist() == [2.0, 2.0, 1.0]
+        assert lp.row_upper[:2].tolist() == [3.0, 3.0]
 
 
 class TestFeasibility:

@@ -158,11 +158,10 @@ def bench_cells(quick: bool) -> dict:
             # capacitated pack).  Raw seconds, deliberately outside the
             # *_vs_baseline gate domain — attribution, not a floor.
             timer = Timer()
-            simulate_batch(
-                instances,
-                [make_policy(policy_name) for _ in instances],
-                timer=timer,
-            )
+            with timer.recording():
+                simulate_batch(
+                    instances, [make_policy(policy_name) for _ in instances]
+                )
             phases = {
                 name: round(total, 6)
                 for name, total in sorted(timer.totals.items())
@@ -190,9 +189,10 @@ def bench_obs_overhead(quick: bool) -> dict:
     """The observability tax: traced vs untraced batched cell.
 
     Each repeat runs the :data:`OBS_OVERHEAD_CELL` twice back to back —
-    once with only a :class:`Timer` (the untraced baseline), once with
-    a live ambient tracer on top of it (every Timer event becomes a
-    span, written to a JSONL sink and observed into a metrics registry)
+    once with only an active :class:`Timer` (the untraced baseline),
+    once with a live ambient tracer on top of it (every measured phase
+    also becomes a span, written to a JSONL sink and observed into a
+    metrics registry)
     — alternating which leg goes first.  The reported overhead is the
     **trimmed mean of the per-repeat paired ratios** (middle half):
     adjacent runs see the same machine state, so drift that dwarfs the
@@ -229,12 +229,11 @@ def bench_obs_overhead(quick: bool) -> dict:
     def _untraced() -> float:
         timer = Timer()
         t0 = time.perf_counter()
-        for _ in range(inner):
-            simulate_batch(
-                instances,
-                [make_policy(policy_name) for _ in instances],
-                timer=timer,
-            )
+        with timer.recording():
+            for _ in range(inner):
+                simulate_batch(
+                    instances, [make_policy(policy_name) for _ in instances]
+                )
         return time.perf_counter() - t0
 
     fd, spans_path = tempfile.mkstemp(suffix=".jsonl")
@@ -249,12 +248,12 @@ def bench_obs_overhead(quick: bool) -> dict:
         timer = Timer()
         t0 = time.perf_counter()
         try:
-            for _ in range(inner):
-                simulate_batch(
-                    instances,
-                    [make_policy(policy_name) for _ in instances],
-                    timer=timer,
-                )
+            with timer.recording():
+                for _ in range(inner):
+                    simulate_batch(
+                        instances,
+                        [make_policy(policy_name) for _ in instances],
+                    )
             return time.perf_counter() - t0
         finally:
             tracer.close(root)

@@ -1,9 +1,4 @@
-"""Shared benchmark configuration.
-
-Benchmarks default to a reduced scale so ``pytest benchmarks/
---benchmark-only`` completes in minutes; set ``REPRO_PAPER_SCALE=1`` to
-run the paper's full 150-port configuration (budget hours for the LP
-baselines, as the paper did with Gurobi).
+"""Shared pytest-benchmark configuration.
 
 ``--json-out [PATH]`` (default ``BENCH_matching.json``) makes the bench
 session write machine-readable throughput numbers — ops/sec per kernel
@@ -16,11 +11,8 @@ pytest-benchmark; CI's bench-smoke job uses that mode).
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
-
-from repro.experiments.config import ExperimentConfig, paper_scale_config
 
 
 def pytest_addoption(parser):
@@ -66,33 +58,3 @@ def pytest_sessionfinish(session, exitstatus):
         with open(path, "w") as fh:
             json.dump({"kernels": records}, fh, indent=1, sort_keys=True)
 
-
-def bench_config(**overrides) -> ExperimentConfig:
-    """The sweep configuration used by the figure benchmarks."""
-    if os.environ.get("REPRO_PAPER_SCALE", "").strip() in ("1", "true", "yes"):
-        return paper_scale_config(**overrides)
-    base = dict(
-        num_ports=16,
-        generation_rounds=(6, 8, 10, 14),
-        trials=2,
-        lp_round_limit=8,
-        seed=2020,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-@pytest.fixture(scope="session")
-def shared_sweep():
-    """One sweep shared by the fig6/fig7 benches (the paper measures both
-    objectives on the same simulation runs).
-
-    Runs through the :class:`repro.api.Runner` facade; set
-    ``REPRO_BENCH_JOBS=N`` to parallelize the trials (results are
-    byte-identical to the serial run).
-    """
-    from repro.api import Runner
-
-    raw = os.environ.get("REPRO_BENCH_JOBS", "").strip()
-    jobs = int(raw) if raw.isdigit() and int(raw) >= 1 else None
-    return Runner(bench_config(), jobs=jobs).run()

@@ -69,12 +69,19 @@ def main() -> None:
         print(f"resubmission: source={again.source}")
 
         # --- 4. the metrics agree --------------------------------------
+        # A counter no event has touched is absent from the exposition:
+        # when the solve finishes before the burst arrives, nothing
+        # coalesces, and the burst counts as cache hits instead.
         text = client.metrics()
+
+        def count(name: str, **labels) -> float:
+            return parse_metric(text, name, **labels) or 0.0
+
         print(
             "metrics: "
-            f"solved={parse_metric(text, 'repro_solved_total', solver='FS-MRT'):.0f} "
-            f"coalesced={parse_metric(text, 'repro_coalesced_total'):.0f} "
-            f"cache_hits={parse_metric(text, 'repro_cache_hits_total'):.0f}"
+            f"solved={count('repro_solved_total', solver='FS-MRT'):.0f} "
+            f"coalesced={count('repro_coalesced_total'):.0f} "
+            f"cache_hits={count('repro_cache_hits_total'):.0f}"
         )
     print("service drained and stopped")
 

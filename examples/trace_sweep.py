@@ -57,9 +57,9 @@ def main() -> None:
     print(f"traced sweep: {len(sweep.cells)} cells, {len(spans)} spans")
     print(f"span log: {trace_path}\n")
 
-    # Span sums reconcile exactly with the sweep's phase timer: the
-    # timer->span bridge closes every span with the very perf_counter
-    # delta the timer recorded.
+    # Span sums reconcile exactly with the sweep's phase timer: each
+    # phase is timed by one measure() call, which adds one perf_counter
+    # delta to the active Timer and closes its span with that delta.
     for name in sorted(sweep.timer.totals)[:3]:
         total = sum(s["dur"] for s in spans if s["name"] == name)
         print(f"  {name:<24s} timer={sweep.timer.totals[name]:.6f}s "

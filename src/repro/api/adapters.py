@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import asdict
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.api.report import SolveReport
 from repro.api.registry import register_solver
@@ -45,6 +45,7 @@ from repro.mrt.time_constrained import (
     from_deadlines,
     from_response_bound,
 )
+from repro.utils.timing import Timer
 
 
 def _first_doc_line(obj: Any) -> str:
@@ -52,11 +53,24 @@ def _first_doc_line(obj: Any) -> str:
     return doc.splitlines()[0] if doc else ""
 
 
+def _timed(run: Callable[[], Any]):
+    """Call ``run()`` under a fresh active :class:`Timer`; return its
+    result and timings: the phases it recorded plus the ``total``."""
+    timer = Timer()
+    start = time.perf_counter()
+    with timer.recording():
+        result = run()
+    timings = dict(timer.totals)
+    timings["total"] = time.perf_counter() - start
+    return result, timings
+
+
 class SolverAdapter:
     """Base class for the built-in adapters.
 
-    Subclasses implement ``_solve``; the base wraps it with total-time
-    measurement so every report carries at least one timing.
+    Subclasses implement ``_solve``; the base runs it under the report's
+    own :class:`Timer`, so ``timings`` holds every phase the run
+    recorded plus the ``total``.
     """
 
     name: str = "abstract"
@@ -69,9 +83,8 @@ class SolverAdapter:
 
     def solve(self, instance: Any, **params: Any) -> SolveReport:
         """Run the wrapped algorithm and return a uniform report."""
-        start = time.perf_counter()
-        report = self._solve(instance, **params)
-        report.timings.setdefault("total", time.perf_counter() - start)
+        report, timings = _timed(lambda: self._solve(instance, **params))
+        report.timings = timings
         return report
 
     def solve_batch(
@@ -112,9 +125,7 @@ class ARTSolver(SolverAdapter):
         compute_lower_bound: bool = True,
     ) -> SolveReport:
         from repro.art.algorithm import solve_art
-        from repro.utils.timing import Timer
 
-        timer = Timer()
         res = solve_art(
             instance,
             c=c,
@@ -122,7 +133,6 @@ class ARTSolver(SolverAdapter):
             horizon=horizon,
             backend=backend,
             compute_lower_bound=compute_lower_bound,
-            timer=timer,
         )
         lower = {}
         if res.lower_bound is not None:
@@ -133,7 +143,6 @@ class ARTSolver(SolverAdapter):
             metrics=ScheduleMetrics.of(res.schedule),
             schedule=res.schedule,
             lower_bounds=lower,
-            timings=dict(timer.totals),
             params={
                 "c": c,
                 "window": window,
@@ -291,19 +300,16 @@ class AMRTSolver(SolverAdapter):
         max_rho: Optional[int] = None,
     ) -> SolveReport:
         from repro.online.amrt import run_amrt
-        from repro.utils.timing import Timer
 
-        timer = Timer()
         res = run_amrt(
             instance, initial_rho=initial_rho, backend=backend,
-            max_rho=max_rho, timer=timer,
+            max_rho=max_rho,
         )
         return SolveReport(
             solver=self.name,
             kind=self.kind,
             metrics=res.metrics,
             schedule=res.schedule,
-            timings=dict(timer.totals),
             params={
                 "initial_rho": initial_rho,
                 "backend": backend,
@@ -332,14 +338,8 @@ class PolicySolver(SolverAdapter):
     def _solve(
         self, instance: Instance, max_rounds: Optional[int] = None
     ) -> SolveReport:
-        from repro.utils.timing import Timer
-
-        timer = Timer()
-        sim = simulate(
-            instance, make_policy(self.name), max_rounds=max_rounds,
-            timer=timer,
-        )
-        return self._report(sim, dict(timer.totals), max_rounds)
+        sim = simulate(instance, make_policy(self.name), max_rounds=max_rounds)
+        return self._report(sim, {}, max_rounds)
 
     def solve_batch(
         self, instances: Sequence[Instance], max_rounds: Optional[int] = None
@@ -355,18 +355,14 @@ class PolicySolver(SolverAdapter):
         run (stripped on store).
         """
         from repro.online.batch import simulate_batch
-        from repro.utils.timing import Timer
 
-        timer = Timer()
-        start = time.perf_counter()
-        sims = simulate_batch(
-            instances,
-            [make_policy(self.name) for _ in instances],
-            max_rounds=max_rounds,
-            timer=timer,
+        sims, timings = _timed(
+            lambda: simulate_batch(
+                instances,
+                [make_policy(self.name) for _ in instances],
+                max_rounds=max_rounds,
+            )
         )
-        timings = dict(timer.totals)
-        timings["total"] = time.perf_counter() - start
         return [self._report(sim, dict(timings), max_rounds) for sim in sims]
 
     def _report(self, sim, timings, max_rounds) -> SolveReport:
@@ -402,23 +398,19 @@ class CoflowPolicySolver(SolverAdapter):
         return _first_doc_line(COFLOW_POLICY_REGISTRY[self.name])
 
     def _solve(self, instance: CoflowInstance) -> SolveReport:
-        from repro.utils.timing import Timer
-
         if not isinstance(instance, CoflowInstance):
             raise TypeError(
                 f"coflow solver {self.name!r} needs a CoflowInstance, "
                 f"got {type(instance).__name__}"
             )
-        timer = Timer()
         res = simulate_coflows(
-            instance, make_coflow_policy(self.name, instance), timer=timer
+            instance, make_coflow_policy(self.name, instance)
         )
         return SolveReport(
             solver=self.name,
             kind=self.kind,
             metrics=res.flow_metrics,
             schedule=res.schedule,
-            timings=dict(timer.totals),
             extras={
                 "coflow_metrics": asdict(res.coflow_metrics),
                 "sim_stats": {k: int(v) for k, v in res.stats.items()},

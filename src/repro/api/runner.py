@@ -32,7 +32,7 @@ from repro.experiments.harness import CellResult, SweepResult, format_cell_line
 from repro.obs.spans import TraceContext, Tracer, activate, deactivate, new_trace_id
 from repro.utils.rng import derive_seed
 from repro.core.switch import Switch
-from repro.utils.timing import Timer
+from repro.utils.timing import Timer, measure
 from repro.workloads.synthetic import poisson_uniform_workload
 
 
@@ -198,7 +198,7 @@ def _grid_seed(item: WorkItem) -> int:
     )
 
 
-def _generate_instance(item: WorkItem, timer: Timer):
+def _generate_instance(item: WorkItem):
     """Generate one work item's instance with its derived seed.
 
     Grid trials derive their seed via :func:`_grid_seed`; scenario
@@ -212,16 +212,16 @@ def _generate_instance(item: WorkItem, timer: Timer):
         # Scenario generation is deterministic by contract, so a config
         # without a seed still derives a reproducible per-trial one.
         seed = derive_seed(config.seed or 0, _spec_salt(spec), item.trial)
-        with timer.measure("generate"):
+        with measure("generate"):
             return build_instance(spec, seed=seed)
-    with timer.measure("generate"):
+    with measure("generate"):
         return poisson_uniform_workload(
             config.num_ports, item.arrival_mean, item.rounds,
             seed=_grid_seed(item),
         )
 
 
-def _generate_batch(items: Sequence[WorkItem], timer: Timer) -> list:
+def _generate_batch(items: Sequence[WorkItem]) -> list:
     """Generate a batch's instances, amortizing same-cell grid trials.
 
     When every item is a grid trial of the same (ports, M, T) cell —
@@ -245,15 +245,15 @@ def _generate_batch(items: Sequence[WorkItem], timer: Timer) -> list:
         for it in items
     )
     if not uniform_grid:
-        return [_generate_instance(item, timer) for item in items]
+        return [_generate_instance(item) for item in items]
     from repro.workloads.synthetic import _poisson_uniform_on
 
     m = head.config.num_ports
-    with timer.measure("batch_generate"):
+    with measure("batch_generate"):
         switch = Switch.create(m, m, 1)
         instances = []
         for item in items:
-            with timer.measure("generate"):
+            with measure("generate"):
                 instances.append(
                     _poisson_uniform_on(
                         switch, item.arrival_mean, item.rounds,
@@ -300,165 +300,168 @@ def run_batch(batch: BatchWorkItem) -> List[TrialResult]:
     head = items[0]
     n = len(items)
     timer = Timer()
-    instances = _generate_batch(items, timer)
-    store = None
-    if head.cache_dir is not None and any(
-        inst.num_flows > 0 for inst in instances
-    ):
-        from repro.api.store import open_store
+    with timer.recording():
+        instances = _generate_batch(items)
+        store = None
+        if head.cache_dir is not None and any(
+            inst.num_flows > 0 for inst in instances
+        ):
+            from repro.api.store import open_store
 
-        store = open_store(head.cache_dir, read=head.use_cache)
-    digests = [
-        inst.digest() if store is not None and inst.num_flows > 0 else ""
-        for inst in instances
-    ]
-    labels = [
-        f"M={item.arrival_mean} T={item.rounds} trial={item.trial}"
-        for item in items
-    ]
-    live = [k for k in range(n) if instances[k].num_flows > 0]
-    avg: List[Dict[str, float]] = [{} for _ in range(n)]
-    mx: List[Dict[str, float]] = [{} for _ in range(n)]
-    aug: List[Dict[str, int]] = [{} for _ in range(n)]
-    lp_avg: List[Optional[float]] = [None] * n
-    lp_max: List[Optional[float]] = [None] * n
-    pending: List[tuple] = []
+            store = open_store(head.cache_dir, read=head.use_cache)
+        digests = [
+            inst.digest() if store is not None and inst.num_flows > 0 else ""
+            for inst in instances
+        ]
+        labels = [
+            f"M={item.arrival_mean} T={item.rounds} trial={item.trial}"
+            for item in items
+        ]
+        live = [k for k in range(n) if instances[k].num_flows > 0]
+        avg: List[Dict[str, float]] = [{} for _ in range(n)]
+        mx: List[Dict[str, float]] = [{} for _ in range(n)]
+        aug: List[Dict[str, int]] = [{} for _ in range(n)]
+        lp_avg: List[Optional[float]] = [None] * n
+        lp_max: List[Optional[float]] = [None] * n
+        pending: List[tuple] = []
 
-    def reject_infeasible(name: str, k: int) -> None:
-        item = items[k]
-        raise ValueError(
-            f"solver {name!r} returned an infeasible report "
-            f"(metrics=None) for sweep cell M={item.arrival_mean} "
-            f"T={item.rounds} trial={item.trial}; sweeps require "
-            "solvers that always produce a schedule"
-        )
+        def reject_infeasible(name: str, k: int) -> None:
+            item = items[k]
+            raise ValueError(
+                f"solver {name!r} returned an infeasible report "
+                f"(metrics=None) for sweep cell M={item.arrival_mean} "
+                f"T={item.rounds} trial={item.trial}; sweeps require "
+                "solvers that always produce a schedule"
+            )
 
-    try:
-        for name in head.solvers:
-            records: Dict[int, dict] = {}
-            if store is not None:
+        try:
+            for name in head.solvers:
+                records: Dict[int, dict] = {}
+                if store is not None:
+                    for k in live:
+                        cached = store.get(name, digests[k], {})
+                        if cached is not None:
+                            records[k] = cached
+                missing = [k for k in live if k not in records]
+                if missing:
+                    solver = get_solver(name)
+                    # ``solve_batch`` is an optional extension of the Solver
+                    # protocol; third-party solvers exposing only ``solve``
+                    # run per trial with identical results.
+                    batch_solve = getattr(solver, "solve_batch", None)
+                    if batch_solve is not None:
+                        with measure(f"simulate:{name}"):
+                            reports = batch_solve(
+                                [instances[k] for k in missing]
+                            )
+                        pairs = zip(missing, reports)
+                    else:
+
+                        def solve_each(solver=solver, name=name):
+                            for k in missing:
+                                with measure(f"simulate:{name}"):
+                                    yield k, solver.solve(instances[k])
+
+                        pairs = solve_each()
+                    # Each report is recorded as soon as it exists, so an
+                    # interrupt mid-loop still flushes the completed trials.
+                    for k, report in pairs:
+                        if report.metrics is None:
+                            reject_infeasible(name, k)
+                        if head.verify:
+                            from repro.verify import certify_solve
+
+                            certify_solve(
+                                report, instances[k],
+                                subject=f"{name}@{labels[k]}",
+                            ).raise_if_failed()
+                        record = report.to_stored_dict()
+                        if store is not None:
+                            pending.append((name, digests[k], {}, record))
+                        records[k] = record
                 for k in live:
-                    cached = store.get(name, digests[k], {})
-                    if cached is not None:
-                        records[k] = cached
-            missing = [k for k in live if k not in records]
-            if missing:
-                solver = get_solver(name)
-                # ``solve_batch`` is an optional extension of the Solver
-                # protocol; third-party solvers exposing only ``solve``
-                # run per trial with identical results.
-                batch_solve = getattr(solver, "solve_batch", None)
-                if batch_solve is not None:
-                    with timer.measure(f"simulate:{name}"):
-                        reports = batch_solve(
-                            [instances[k] for k in missing]
-                        )
-                    pairs = zip(missing, reports)
-                else:
-
-                    def solve_each(solver=solver, name=name):
-                        for k in missing:
-                            with timer.measure(f"simulate:{name}"):
-                                yield k, solver.solve(instances[k])
-
-                    pairs = solve_each()
-                # Each report is recorded as soon as it exists, so an
-                # interrupt mid-loop still flushes the completed trials.
-                for k, report in pairs:
-                    if report.metrics is None:
+                    record = records[k]
+                    metrics = record["metrics"]
+                    if metrics is None:  # a poisoned record from an old store
                         reject_infeasible(name, k)
-                    if head.verify:
-                        from repro.verify import certify_solve
+                    if head.verify and k not in missing:
+                        from repro.verify import check_record
 
-                        certify_solve(
-                            report, instances[k],
-                            subject=f"{name}@{labels[k]}",
+                        check_record(
+                            record, subject=f"{name}@{labels[k]}"
                         ).raise_if_failed()
-                    record = report.to_stored_dict()
-                    if store is not None:
-                        pending.append((name, digests[k], {}, record))
-                    records[k] = record
-            for k in live:
-                record = records[k]
-                metrics = record["metrics"]
-                if metrics is None:  # a poisoned record from an older store
-                    reject_infeasible(name, k)
-                if head.verify and k not in missing:
-                    from repro.verify import check_record
+                    avg[k][name] = metrics["average_response"]
+                    mx[k][name] = float(metrics["max_response"])
+                    aug[k][name] = int(metrics["max_augmentation"])
 
-                    check_record(
-                        record, subject=f"{name}@{labels[k]}"
-                    ).raise_if_failed()
-                avg[k][name] = metrics["average_response"]
-                mx[k][name] = float(metrics["max_response"])
-                aug[k][name] = int(metrics["max_augmentation"])
+            if any(item.want_lp for item in items):
+                from repro.lp.bounds import art_lower_bound, mrt_lower_bound
 
-        if any(item.want_lp for item in items):
-            from repro.lp.bounds import art_lower_bound, mrt_lower_bound
-
-            for k in live:
-                item = items[k]
-                if not item.want_lp:
-                    continue
-                instance = instances[k]
-                horizon = instance.compact_horizon_bound()
-                avg_params = {"horizon": horizon}
-                record = (
-                    store.get(LP_AVG_KEY, digests[k], avg_params)
-                    if store is not None
-                    else None
-                )
-                if record is None:
-                    with timer.measure("lp_avg_bound"):
-                        total = art_lower_bound(
-                            instance,
-                            horizon=horizon,
-                            timer=timer,
-                            use_cache=item.use_cache,
-                        )
-                    record = _bound_report(
-                        LP_AVG_KEY,
-                        {"lp_total_response": float(total)},
-                        avg_params,
+                for k in live:
+                    item = items[k]
+                    if not item.want_lp:
+                        continue
+                    instance = instances[k]
+                    horizon = instance.compact_horizon_bound()
+                    avg_params = {"horizon": horizon}
+                    record = (
+                        store.get(LP_AVG_KEY, digests[k], avg_params)
+                        if store is not None
+                        else None
                     )
-                    if store is not None:
-                        pending.append(
-                            (LP_AVG_KEY, digests[k], avg_params, record)
-                        )
-                lp_avg[k] = (
-                    record["lower_bounds"]["lp_total_response"]
-                    / instance.num_flows
-                )
-                record = (
-                    store.get(LP_MAX_KEY, digests[k], {})
-                    if store is not None
-                    else None
-                )
-                if record is None:
-                    with timer.measure("lp_max_bound"):
-                        rho = float(
-                            mrt_lower_bound(
-                                instance, timer=timer,
+                    if record is None:
+                        with measure("lp_avg_bound"):
+                            total = art_lower_bound(
+                                instance,
+                                horizon=horizon,
                                 use_cache=item.use_cache,
                             )
+                        record = _bound_report(
+                            LP_AVG_KEY,
+                            {"lp_total_response": float(total)},
+                            avg_params,
                         )
-                    record = _bound_report(LP_MAX_KEY, {"rho_star": rho}, {})
-                    if store is not None:
-                        pending.append((LP_MAX_KEY, digests[k], {}, record))
-                lp_max[k] = float(record["lower_bounds"]["rho_star"])
-                if item.verify:
-                    _certify_trial_bounds(
-                        labels[k], item.solvers, avg[k], mx[k], aug[k],
-                        lp_avg[k], lp_max[k],
+                        if store is not None:
+                            pending.append(
+                                (LP_AVG_KEY, digests[k], avg_params, record)
+                            )
+                    lp_avg[k] = (
+                        record["lower_bounds"]["lp_total_response"]
+                        / instance.num_flows
                     )
-    except BaseException:
-        # Flush every completed trial's records before the interrupt (or
-        # error) propagates — the SweepInterrupted promise for batches.
+                    record = (
+                        store.get(LP_MAX_KEY, digests[k], {})
+                        if store is not None
+                        else None
+                    )
+                    if record is None:
+                        with measure("lp_max_bound"):
+                            rho = float(
+                                mrt_lower_bound(
+                                    instance, use_cache=item.use_cache
+                                )
+                            )
+                        record = _bound_report(
+                            LP_MAX_KEY, {"rho_star": rho}, {}
+                        )
+                        if store is not None:
+                            pending.append(
+                                (LP_MAX_KEY, digests[k], {}, record)
+                            )
+                    lp_max[k] = float(record["lower_bounds"]["rho_star"])
+                    if item.verify:
+                        _certify_trial_bounds(
+                            labels[k], item.solvers, avg[k], mx[k], aug[k],
+                            lp_avg[k], lp_max[k],
+                        )
+        except BaseException:
+            # Flush every completed trial's records before the interrupt (or
+            # error) propagates — the SweepInterrupted promise for batches.
+            if store is not None and pending:
+                store.put_many(pending)
+            raise
         if store is not None and pending:
             store.put_many(pending)
-        raise
-    if store is not None and pending:
-        store.put_many(pending)
     return [
         TrialResult(
             arrival_mean=items[k].arrival_mean,
@@ -519,9 +522,9 @@ class _TracedCall:
     callable into the executor; on the other side a fresh in-memory
     tracer resumes that context, opens a ``batch`` span whose ID is
     grafted at the deterministic :func:`_trace_branch` segment, and
-    runs the batch with the tracer ambient — so
-    :class:`~repro.utils.timing.Timer` phases inside become child
-    spans.  The collected span records return alongside the result for
+    runs the batch with the tracer ambient — so every
+    :func:`~repro.utils.timing.measure` phase inside becomes a child
+    span.  The collected span records return alongside the result for
     the parent to absorb into its sink (:func:`_absorb`).
     """
 
@@ -654,7 +657,7 @@ class Runner:
         into.  The sweep runs under a root ``sweep`` span, every work
         item under a ``trial``/``batch`` span with deterministic IDs
         (identical across executors), and every
-        :class:`~repro.utils.timing.Timer` phase becomes a child span —
+        :func:`~repro.utils.timing.measure` phase becomes a child span —
         all durations also land in the shared
         :mod:`repro.obs.metrics` registry.  ``None`` (default) traces
         nothing.

@@ -63,7 +63,6 @@ def solve_art(
     horizon: Optional[int] = None,
     backend: str = "auto",
     compute_lower_bound: bool = True,
-    timer=None,
 ) -> ARTResult:
     """Solve FS-ART per Theorem 1 (unit demands).
 
@@ -83,9 +82,6 @@ def solve_art(
     compute_lower_bound:
         Also solve LP (1)–(4) for the certified lower bound (extra LP
         solve; disable for benchmarks that only need the schedule).
-    timer:
-        Optional :class:`repro.utils.timing.Timer`; the Theorem 1 window
-        decompositions are recorded as ``coloring`` events.
 
     Returns
     -------
@@ -93,7 +89,7 @@ def solve_art(
     """
     check_positive_int(c, "c")
     pseudo = iterative_rounding(instance, horizon=horizon, backend=backend)
-    conversion = pseudo_to_schedule(pseudo, c=c, window=window, timer=timer)
+    conversion = pseudo_to_schedule(pseudo, c=c, window=window)
     lower = (
         art_lp_lower_bound(instance, horizon=horizon, backend=backend)
         if compute_lower_bound

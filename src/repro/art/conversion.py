@@ -37,6 +37,7 @@ from repro.core.schedule import Schedule
 from repro.matching.b_matching import project_coloring, replicate_ports
 from repro.matching.bipartite import BipartiteMultigraph
 from repro.matching.bvn import decompose_into_matchings
+from repro.utils.timing import measure
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,6 @@ def pseudo_to_schedule(
     pseudo: PseudoSchedule,
     c: int = 1,
     window: Optional[int] = None,
-    timer=None,
 ) -> ConversionResult:
     """Apply the Theorem 1 conversion with augmentation parameter ``c``.
 
@@ -94,9 +94,6 @@ def pseudo_to_schedule(
         ``1 + c``); used only to derive the default window length.
     window:
         Override the window length ``h``.
-    timer:
-        Optional :class:`repro.utils.timing.Timer`; each window's König
-        decomposition is recorded as a ``coloring`` event.
 
     Returns
     -------
@@ -133,10 +130,7 @@ def pseudo_to_schedule(
         replicated, edge_map = replicate_ports(
             graph, switch.input_capacities, switch.output_capacities
         )
-        if timer is not None:
-            with timer.measure("coloring"):
-                replica_classes = decompose_into_matchings(replicated)
-        else:
+        with measure("coloring"):
             replica_classes = decompose_into_matchings(replicated)
         classes = project_coloring(edge_map, replica_classes)
         delta = len(classes)

@@ -35,6 +35,7 @@ from repro.art.pseudo_schedule import PseudoSchedule
 from repro.core.instance import Instance
 from repro.lp.model import LinearProgram
 from repro.lp.solver import solve_lp
+from repro.utils.timing import measure
 
 _TOL = 1e-7
 
@@ -46,6 +47,9 @@ def iterative_rounding(
     max_iterations: Optional[int] = None,
 ) -> PseudoSchedule:
     """Round LP (5)–(8) into a pseudo-schedule (Lemma 3.3).
+
+    Each LP solve, LP(0) and every LP(ℓ), records a ``rounding_lp``
+    phase, the name FS-MRT's rounding loop uses.
 
     Parameters
     ----------
@@ -75,7 +79,8 @@ def iterative_rounding(
 
     # --- LP(0) -----------------------------------------------------------
     lp = build_interval_lp0(instance, horizon)
-    res = solve_lp(lp, backend=backend, need_vertex=True)
+    with measure("rounding_lp"):
+        res = solve_lp(lp, backend=backend, need_vertex=True)
     if not res.is_optimal:  # pragma: no cover - LP(0) is always feasible
         raise RuntimeError(f"LP(0) failed: {res.status}")
     lp0_optimum = float(res.objective)
@@ -90,7 +95,8 @@ def iterative_rounding(
     while flow.size and iterations < max_iterations:
         prev_unfixed = np.unique(flow).size
         lp = _build_lp_ell(instance, flow, rounds, value)
-        res = solve_lp(lp, backend=backend, need_vertex=True)
+        with measure("rounding_lp"):
+            res = solve_lp(lp, backend=backend, need_vertex=True)
         iterations += 1
         if not res.is_optimal:  # pragma: no cover - relaxation invariant
             raise RuntimeError(f"LP(ell) failed: {res.status}")

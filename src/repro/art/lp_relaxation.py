@@ -36,6 +36,7 @@ import numpy as np
 from repro.core.instance import Instance
 from repro.lp.model import LinearProgram, port_rows
 from repro.lp.solver import solve_lp
+from repro.utils.timing import measure
 
 #: Block length of the initial interval LP (the paper uses 4).
 BLOCK = 4
@@ -144,7 +145,6 @@ def art_lp_lower_bound(
     instance: Instance,
     horizon: Optional[int] = None,
     backend: str = "auto",
-    timer=None,
 ) -> float:
     """Optimal value of LP (1)–(4): a lower bound on total response time.
 
@@ -152,17 +152,14 @@ def art_lp_lower_bound(
     This is the baseline the paper's Figure 6 plots against the
     heuristics ("the optimal value of the linear program (1)-(4)").
 
-    ``timer`` (an optional :class:`repro.utils.timing.Timer`) receives
-    one ``lp_bound_build`` and one ``lp_bound_solve`` measurement — the
-    cold-work counters of the :mod:`repro.lp.bounds` subsystem.
+    The build and the solve record the phases ``lp_bound_build`` and
+    ``lp_bound_solve``, the names of the :mod:`repro.lp.bounds` oracle.
     """
-    from contextlib import nullcontext
-
     if instance.num_flows == 0:
         return 0.0
-    with timer.measure("lp_bound_build") if timer else nullcontext():
+    with measure("lp_bound_build"):
         lp = build_fractional_art_lp(instance, horizon)
-    with timer.measure("lp_bound_solve") if timer else nullcontext():
+    with measure("lp_bound_solve"):
         result = solve_lp(lp, backend=backend)
     if not result.is_optimal:  # pragma: no cover - LP is always feasible
         raise RuntimeError(f"ART lower-bound LP failed: {result.status}")

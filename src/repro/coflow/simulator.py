@@ -7,7 +7,7 @@ online simulator and reports metrics at both granularities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.coflow.metrics import CoflowMetrics
 from repro.coflow.model import CoflowInstance
@@ -15,7 +15,6 @@ from repro.core.metrics import ScheduleMetrics
 from repro.core.schedule import Schedule
 from repro.online.policies import OnlinePolicy
 from repro.online.simulator import simulate
-from repro.utils.timing import Timer
 
 
 @dataclass(frozen=True)
@@ -29,16 +28,10 @@ class CoflowSimulationResult:
 
 
 def simulate_coflows(
-    cf: CoflowInstance,
-    policy: OnlinePolicy,
-    timer: Optional[Timer] = None,
+    cf: CoflowInstance, policy: OnlinePolicy
 ) -> CoflowSimulationResult:
-    """Simulate ``policy`` on the flattened instance of ``cf``.
-
-    ``timer`` is forwarded to :func:`repro.online.simulator.simulate`
-    (per-round ``sim_round`` events and any policy-level events).
-    """
-    result = simulate(cf.instance, policy, timer=timer)
+    """Simulate ``policy`` on the flattened instance of ``cf``."""
+    result = simulate(cf.instance, policy)
     return CoflowSimulationResult(
         schedule=result.schedule,
         flow_metrics=result.metrics,

@@ -16,9 +16,9 @@ cheap:
   smaller ρ by masking columns through their upper bounds — a column
   ``x_{e,t}`` with ``t >= r_e + rho`` gets upper bound 0, which is
   equivalent to removing it from the model.  Build and solve work are
-  counted (``oracle.builds`` / ``oracle.solves``) and
-  optionally timed through a :class:`~repro.utils.timing.Timer` under
-  the names ``lp_bound_build`` and ``lp_bound_solve``.
+  counted (``oracle.builds`` / ``oracle.solves``) and timed as the
+  phases ``lp_bound_build`` and ``lp_bound_solve``
+  (:func:`repro.utils.timing.measure`).
 * :func:`mrt_lower_bound` / :func:`art_lower_bound` wrap the two sweep
   bounds behind an in-process solve cache keyed by the canonical
   instance digest (:meth:`repro.core.instance.Instance.digest`), so
@@ -28,9 +28,9 @@ cheap:
   reset the memo.
 
 The solves themselves go through :func:`repro.lp.solver.solve_lp` with
-``backend="auto"``, which hands the model's arrays to HiGHS (the
-hand-rolled dense tableau simplex remains only as the small-instance
-fallback/teaching backend).
+``backend="auto"``, which hands the model's arrays to HiGHS.  The
+hand-rolled dense tableau simplex runs only when a caller asks for
+``backend="simplex"``; ``"auto"`` never selects it.
 
 Cross-*process* reuse (resumable sweeps) is layered on top by the
 content-addressed result store in :mod:`repro.api.store`.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import ContextManager, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -48,8 +48,7 @@ from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
 from repro.lp.solver import solve_lp
-from repro.obs.spans import span as obs_span
-from repro.utils.timing import Timer
+from repro.utils.timing import measure
 
 #: Entries kept per in-process cache (oldest evicted beyond this).
 CACHE_LIMIT = 1024
@@ -60,12 +59,6 @@ _STATS = {"hits": 0, "misses": 0}
 # Guards the caches and counters: lookups and insertions are
 # check-then-mutate sequences, which a threaded executor would race.
 _CACHE_LOCK = threading.Lock()
-
-
-def _measure(timer: Optional[Timer], name: str) -> ContextManager:
-    # With a timer the span opens through Timer.measure's obs bridge;
-    # without one an ambient span still records the phase when tracing.
-    return timer.measure(name) if timer is not None else obs_span(name)
 
 
 def _lookup(cache: OrderedDict, key: tuple):
@@ -146,10 +139,6 @@ class LPBoundOracle:
         earliest-fit schedule's max response, which the greedy schedule
         certifies feasible.  A caller's cap is not certified:
         :meth:`lower_bound` checks it by LP if the search ends on it.
-    timer:
-        Optional :class:`Timer` that receives ``lp_bound_build`` /
-        ``lp_bound_solve`` measurements (one count per cold build/solve;
-        memo-served queries record nothing).
 
     Attributes
     ----------
@@ -173,11 +162,9 @@ class LPBoundOracle:
         instance: Instance,
         backend: str = "auto",
         rho_cap: Optional[int] = None,
-        timer: Optional[Timer] = None,
     ):
         self.instance = instance
         self.backend = backend
-        self.timer = timer
         self.builds = 0
         self.solves = 0
         self._feasible: Dict[int, bool] = {}
@@ -199,7 +186,7 @@ class LPBoundOracle:
         from repro.mrt.lp_relaxation import build_time_constrained_lp
         from repro.mrt.time_constrained import from_response_bound
 
-        with _measure(self.timer, "lp_bound_build"):
+        with measure("lp_bound_build"):
             self._lp = build_time_constrained_lp(
                 from_response_bound(self.instance, self.rho_cap)
             )
@@ -238,7 +225,7 @@ class LPBoundOracle:
         if self._lp is None:
             self._build()
         self._lp.col_upper = np.where(self._offsets < rho, np.inf, 0.0)
-        with _measure(self.timer, "lp_bound_solve"):
+        with measure("lp_bound_solve"):
             result = solve_lp(self._lp, backend=self.backend, need_vertex=False)
         self.solves += 1
         feasible = result.is_feasible(f"LP (19)-(21) at rho {rho}")
@@ -290,7 +277,6 @@ def mrt_lower_bound(
     instance: Instance,
     backend: str = "auto",
     rho_upper: Optional[int] = None,
-    timer: Optional[Timer] = None,
     use_cache: bool = True,
 ) -> int:
     """Digest-memoised Figure 7 bound ρ* (LP (19)–(21), binary search).
@@ -309,9 +295,7 @@ def mrt_lower_bound(
         found, value = _lookup(_MRT_CACHE, key)
         if found:
             return value
-    oracle = LPBoundOracle(
-        instance, backend=backend, rho_cap=rho_upper, timer=timer
-    )
+    oracle = LPBoundOracle(instance, backend=backend, rho_cap=rho_upper)
     value = oracle.lower_bound()
     _remember(_MRT_CACHE, key, value)
     return value
@@ -321,7 +305,6 @@ def art_lower_bound(
     instance: Instance,
     horizon: Optional[int] = None,
     backend: str = "auto",
-    timer: Optional[Timer] = None,
     use_cache: bool = True,
 ) -> float:
     """Digest-memoised Figure 6 bound: the optimum of LP (1)–(4).
@@ -329,8 +312,8 @@ def art_lower_bound(
     A caching wrapper over
     :func:`repro.art.lp_relaxation.art_lp_lower_bound` (one
     implementation, so the values cannot diverge), with the result cached
-    per (digest, horizon, backend) and the cold build/solve counted by
-    ``timer`` as ``lp_bound_build`` / ``lp_bound_solve``.
+    per (digest, horizon, backend); a cold build and solve record the
+    phases ``lp_bound_build`` / ``lp_bound_solve``.
     ``use_cache=False`` recomputes but still refreshes the memo.
     """
     from repro.art.lp_relaxation import art_lp_lower_bound
@@ -342,9 +325,7 @@ def art_lower_bound(
         found, value = _lookup(_ART_CACHE, key)
         if found:
             return value
-    value = art_lp_lower_bound(
-        instance, horizon=horizon, backend=backend, timer=timer
-    )
+    value = art_lp_lower_bound(instance, horizon=horizon, backend=backend)
     _remember(_ART_CACHE, key, value)
     return value
 

@@ -29,7 +29,6 @@ the theorem's bound held.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +40,7 @@ from repro.lp.model import LinearProgram
 from repro.lp.solver import solve_lp
 from repro.mrt.lp_relaxation import active_columns
 from repro.mrt.time_constrained import TimeConstrainedInstance
+from repro.utils.timing import measure
 
 _TOL = 1e-7
 
@@ -103,13 +103,10 @@ def _capacity_rows(inst: Instance, flow: np.ndarray, rounds: np.ndarray):
 def round_time_constrained(
     tci: TimeConstrainedInstance,
     backend: str = "auto",
-    timer=None,
 ) -> RoundingResult:
     """Round LP (19)–(21) to an integral schedule per Theorem 3.
 
-    ``timer`` (an optional :class:`repro.utils.timing.Timer`) receives a
-    ``rounding_lp`` event per residual-LP solve, so callers (AMRT, the
-    FS-MRT adapter) can report where the wall-clock goes.
+    Each residual-LP solve records a ``rounding_lp`` phase.
 
     The state lives in arrays over LP (19)–(21)'s columns
     (:func:`~repro.mrt.lp_relaxation.active_columns`) and capacity rows:
@@ -189,8 +186,7 @@ def round_time_constrained(
             np.concatenate([residual[emitted], ones]),
         )
 
-        measure = timer.measure("rounding_lp") if timer else nullcontext()
-        with measure:
+        with measure("rounding_lp"):
             result = solve_lp(lp, backend=backend, need_vertex=True)
         iterations += 1
         if iterations == 1 and not result.is_feasible("LP (19)-(21)"):

@@ -11,7 +11,7 @@ Three layers live here:
   Prometheus exposition format (text/plain 0.0.4) by ``render()``;
   exactly what ``GET /metrics`` serves.  Stdlib-only by design.
 * The **canonical timer-event namespace** — :func:`timer_metric` maps
-  every ``repro.utils.timing.Timer`` event name (``lp_bound_solve``,
+  every ``repro.utils.timing`` phase name (``lp_bound_solve``,
   ``batch_match``, ``simulate:FIFO``, …) onto its canonical
   ``repro_*_seconds`` metric, and :func:`observe_event` records a span
   or timer duration under that name.  This is the bridge that makes a

@@ -20,9 +20,9 @@ Design constraints, in order:
   context manager and nothing else happens.
 * **Exact reconciliation with :class:`~repro.utils.timing.Timer`.**
   ``Tracer.close(handle, duration=dt)`` accepts the *same*
-  ``perf_counter`` delta the timer recorded, so per-phase span sums
-  equal ``SolveReport.timings`` totals exactly (the span's wall-clock
-  ``end`` is ``start + dt``).
+  ``perf_counter`` delta :func:`~repro.utils.timing.measure` adds to
+  the active Timer, so per-phase span sums equal its totals exactly
+  (the span's wall-clock ``end`` is ``start + dt``).
 
 The current tracer is **per thread** (a ``threading.local``), which is
 what makes the service's thread workers and the runner's executors
@@ -239,8 +239,8 @@ class Tracer:
         """Close ``frame`` and record it; returns the span record.
 
         ``duration`` (seconds) overrides the measured ``perf_counter``
-        delta — :class:`~repro.utils.timing.Timer` passes its own delta
-        so timer totals and span sums reconcile exactly.
+        delta — :func:`~repro.utils.timing.measure` passes the delta it
+        adds to the active Timer, so the two reconcile exactly.
         """
         stack = self._stack()
         # Tolerate mismatched closes defensively: pop through anything

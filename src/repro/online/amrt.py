@@ -28,6 +28,7 @@ from repro.core.metrics import ScheduleMetrics
 from repro.core.schedule import Schedule
 from repro.mrt.rounding import round_time_constrained
 from repro.mrt.time_constrained import TimeConstrainedInstance
+from repro.utils.timing import measure
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ def run_amrt(
     initial_rho: int = 1,
     backend: str = "auto",
     max_rho: int | None = None,
-    timer=None,
 ) -> AMRTResult:
     """Run the AMRT online batching algorithm over ``instance``.
 
@@ -71,7 +71,9 @@ def run_amrt(
     boundary to boundary instead of walking every round (the seed's
     round-by-round walk made sparse instances O(horizon) regardless of
     batch count).  Behavior — committed batches, ρ increments, and the
-    divergence guards — is identical to the round-by-round walk.
+    divergence guards — is identical to the round-by-round walk.  Each
+    offline feasibility attempt records an ``amrt_batch`` phase, and its
+    LP solves record ``rounding_lp`` phases.
 
     Parameters
     ----------
@@ -83,10 +85,6 @@ def run_amrt(
         LP backend for the offline subroutine.
     max_rho:
         Safety cap on the guess (default ``horizon_bound()``).
-    timer:
-        Optional :class:`repro.utils.timing.Timer`: each offline
-        feasibility attempt is recorded as an ``amrt_batch`` event and
-        the inner LP solves as ``rounding_lp`` events.
 
     Returns
     -------
@@ -136,14 +134,9 @@ def run_amrt(
             pending.append(arrival_fids[next_arrival])
             next_arrival += 1
         if pending:
-            if timer is not None:
-                with timer.measure("amrt_batch"):
-                    batch_sched = _try_schedule_batch(
-                        instance, pending, boundary, rho, backend, timer
-                    )
-            else:
+            with measure("amrt_batch"):
                 batch_sched = _try_schedule_batch(
-                    instance, pending, boundary, rho, backend, timer
+                    instance, pending, boundary, rho, backend
                 )
             if batch_sched is not None:
                 for fid, round_ in batch_sched.items():
@@ -174,7 +167,6 @@ def _schedule_batch_instance(
     start: int,
     rho: int,
     backend: str,
-    timer=None,
 ) -> "np.ndarray | None":
     """Offline subroutine of Lemma 5.3, shared by both entry points.
 
@@ -191,7 +183,7 @@ def _schedule_batch_instance(
         tuple(range(f.release, f.release + rho)) for f in sub.flows
     )
     tci = TimeConstrainedInstance(sub, active)
-    result = round_time_constrained(tci, backend=backend, timer=timer)
+    result = round_time_constrained(tci, backend=backend)
     if not result.feasible or result.schedule is None:
         return None
     # Uniform shift preserves per-round loads; the earliest release in
@@ -207,11 +199,10 @@ def _try_schedule_batch(
     start: int,
     rho: int,
     backend: str,
-    timer=None,
 ) -> Dict[int, int] | None:
     """:func:`_schedule_batch_instance` keyed back to ``instance`` fids."""
     sub = instance.restricted_to(fids)
-    rounds = _schedule_batch_instance(sub, start, rho, backend, timer)
+    rounds = _schedule_batch_instance(sub, start, rho, backend)
     if rounds is None:
         return None
     return {fids[i]: int(rounds[i]) for i in range(sub.num_flows)}
@@ -248,7 +239,6 @@ def run_amrt_stream(
     initial_rho: int = 1,
     backend: str = "auto",
     max_rho: int | None = None,
-    timer=None,
 ) -> AMRTStreamResult:
     """Run AMRT over an arrival stream (Lemma 5.3, unbounded horizons).
 
@@ -270,7 +260,7 @@ def run_amrt_stream(
     arrival_rounds:
         Arrival rounds to consume (defaults to the stream's own bound;
         required for unbounded streams).
-    initial_rho / backend / max_rho / timer:
+    initial_rho / backend / max_rho:
         As in :func:`run_amrt`; ``max_rho`` defaults to a dynamic cap of
         ``arrival_rounds + arrivals-so-far + 1`` (the streaming
         analogue of ``horizon_bound()``).
@@ -353,12 +343,7 @@ def run_amrt_stream(
             )
         if pending:
             sub = Instance.create(switch, pending)
-            if timer is not None:
-                with timer.measure("amrt_batch"):
-                    rounds_assigned = _schedule_batch_instance(
-                        sub, boundary, rho, backend, timer
-                    )
-            else:
+            with measure("amrt_batch"):
                 rounds_assigned = _schedule_batch_instance(
                     sub, boundary, rho, backend
                 )

@@ -43,12 +43,13 @@ through :func:`_vectorized_capacitated_pack`: greedy residual-capacity
 packing reformulated as parallel rounds of segmented prefix sums over
 the candidate order, so high-load cells stay off per-flow python loops.
 
-When a :class:`~repro.utils.timing.Timer` is passed, the engine emits
-per-phase events alongside ``sim_round``: ``batch_select`` (whole-round
-selection), ``batch_match`` (the stacked Hopcroft–Karp solve) and
-``batch_pack`` (vectorized packing kernels); batched *generation* is
-timed by the runner as ``batch_generate``.  Timings are excluded from
-the equivalence contract.
+The engine records per-phase events alongside ``sim_round``:
+``batch_match`` (the stacked Hopcroft–Karp solve) and ``batch_pack``
+(vectorized packing kernels) as phases, and ``batch_select`` (whole-round
+selection) as a per-round aggregate on the active Timer only
+(:mod:`repro.utils.timing`); batched *generation* is timed by the runner
+as ``batch_generate``.  Timings are excluded from the equivalence
+contract.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.coflow.policies import CoflowFifoPolicy, CoflowSebfPolicy
-from repro.obs.spans import span as obs_span
 from repro.core.instance import Instance
 from repro.core.metrics import ScheduleMetrics
 from repro.core.schedule import Schedule
@@ -80,6 +80,7 @@ from repro.online.simulator import (
     _run_rounds,
     simulate,
 )
+from repro.utils.timing import current_timer, measure
 
 
 class _BatchView:
@@ -202,12 +203,6 @@ def batch_kernel_name(
                 return None
         return "coflow"
     return None
-
-
-def _measure(timer, name: str):
-    # With a timer the span opens through Timer.measure's obs bridge;
-    # without one an ambient span still records the phase when tracing.
-    return timer.measure(name) if timer is not None else obs_span(name)
 
 
 def _first_occurrence_mask(keys: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -358,7 +353,6 @@ def simulate_batch(
     instances: Sequence[Instance],
     policies: Sequence[OnlinePolicy],
     max_rounds: Optional[int] = None,
-    timer=None,
     verify: bool = False,
 ) -> List[SimulationResult]:
     """Run ``policies[i]`` over ``instances[i]`` for every trial.
@@ -371,9 +365,9 @@ def simulate_batch(
     ``instances`` and each element is byte-identical (schedule, queue
     history, metrics, stats) to the corresponding solo run.
 
-    ``max_rounds``/``timer``/``verify`` behave as in :func:`simulate`;
-    timer events are per *merged* round, so timing totals differ from N
-    solo runs (timings are excluded from the equivalence contract).
+    ``max_rounds``/``verify`` behave as in :func:`simulate`; timer
+    events are per *merged* round, so timing totals differ from N solo
+    runs (timings are excluded from the equivalence contract).
     """
     if len(instances) != len(policies):
         raise ValueError(
@@ -385,9 +379,7 @@ def simulate_batch(
     live = [i for i in range(len(instances)) if instances[i].num_flows > 0]
     if kernel is None or len(live) < 2:
         return [
-            simulate(
-                inst, pol, max_rounds=max_rounds, timer=timer, verify=verify
-            )
+            simulate(inst, pol, max_rounds=max_rounds, verify=verify)
             for inst, pol in zip(instances, policies)
         ]
     results: List[Optional[SimulationResult]] = [None] * len(instances)
@@ -399,7 +391,6 @@ def simulate_batch(
         [policies[i] for i in live],
         kernel,
         max_rounds,
-        timer,
     )
     for i, result in zip(live, merged):
         results[i] = result
@@ -412,7 +403,7 @@ def simulate_batch(
     return results
 
 
-def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
+def _make_select(kernel, queue, view, instances, policies, hk_stats):
     """Build the per-round merged selection callable for ``kernel``."""
     n_in = view.switch.num_inputs
     n_out = view.switch.num_outputs
@@ -435,7 +426,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
             fids = queue.alive_fids()
             keys = queue.srcs[fids] * m_out + queue.dsts[fids] % m_out
             cand = fids[_first_occurrence_mask(keys, slot_key)]
-            with _measure(timer, "batch_pack"):
+            with measure("batch_pack"):
                 return _vectorized_unit_pack(
                     cand, queue.srcs, queue.dsts, slot_in, slot_out
                 )
@@ -478,7 +469,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
                         warm.update(pp)
                 if not warm:
                     warm = None
-            with _measure(timer, "batch_match"):
+            with measure("batch_match"):
                 edge_left = max_cardinality_matching_batch(
                     n_in,
                     n_out,
@@ -514,7 +505,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
         # stable descending-weight order *is* the alive list (kept
         # sorted by (release, insertion)), so no argsort is needed.
         def select_aged_pack(t: int) -> np.ndarray:
-            with _measure(timer, "batch_pack"):
+            with measure("batch_pack"):
                 return _vectorized_capacitated_pack(
                     queue.alive_fids(), queue, view.switch
                 )
@@ -533,7 +524,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
                 np.float64
             )
             order = np.argsort(-w, kind="stable")
-            with _measure(timer, "batch_pack"):
+            with measure("batch_pack"):
                 return _vectorized_capacitated_pack(
                     fids[order], queue, view.switch
                 )
@@ -560,7 +551,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
             pack_order = np.argsort(-w, kind="stable")
             ordered = fids[pack_order]
             if not unit:
-                with _measure(timer, "batch_pack"):
+                with measure("batch_pack"):
                     return _vectorized_capacitated_pack(
                         ordered, queue, view.switch
                     )
@@ -570,7 +561,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
                 queue.srcs[ordered] * m_out + queue.dsts[ordered] % m_out
             )
             cand = ordered[_first_occurrence_mask(keys, slot_key)]
-            with _measure(timer, "batch_pack"):
+            with measure("batch_pack"):
                 return _vectorized_unit_pack(
                     cand, queue.srcs, queue.dsts, slot_in, slot_out
                 )
@@ -616,7 +607,7 @@ def _make_select(kernel, queue, view, instances, policies, timer, hk_stats):
         else:
             prio = static_prio
         order = np.lexsort((fids, cids, prio[cids]))
-        with _measure(timer, "batch_pack"):
+        with measure("batch_pack"):
             return _vectorized_capacitated_pack(
                 fids[order], queue, view.switch
             )
@@ -629,7 +620,6 @@ def _simulate_merged(
     policies: Sequence[OnlinePolicy],
     kernel: str,
     max_rounds: Optional[int],
-    timer,
 ) -> List[SimulationResult]:
     """The merged lockstep engine (all trials non-empty, same switch)."""
     n_trials = len(instances)
@@ -656,8 +646,9 @@ def _simulate_merged(
             "warm_start_seeds": np.zeros(n_trials, dtype=np.int64),
         }
     kernel_select = _make_select(
-        kernel, queue, view, instances, policies, timer, hk_stats
+        kernel, queue, view, instances, policies, hk_stats
     )
+    timer = current_timer()
 
     def select(t: int) -> np.ndarray:
         if timer is None:
@@ -721,7 +712,7 @@ def _simulate_merged(
                 rounds_of[done] = t + 1
 
     _run_rounds(
-        queue, view.switch, policy_name, arrivals(), limit, select, record, timer
+        queue, view.switch, policy_name, arrivals(), limit, select, record
     )
 
     history = np.stack(history_rows) if history_rows else np.zeros(

@@ -37,7 +37,6 @@ byte-identical to the seed simulator.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -45,6 +44,7 @@ import numpy as np
 from repro.core.instance import Instance
 from repro.matching.hopcroft_karp import max_cardinality_matching_adjacency
 from repro.matching.weight_matching import max_weight_matching
+from repro.utils.timing import measure
 
 
 class OnlinePolicy:
@@ -53,16 +53,14 @@ class OnlinePolicy:
     #: Display name used in experiment tables (overridden per subclass).
     name = "abstract"
 
-    #: Instrumentation sinks bound by the simulator (optional).
-    _timer = None
+    #: Counter sink bound by the simulator (optional).
     _stats: Optional[Dict[str, int]] = None
 
     def reset(self, instance: Instance) -> None:
         """Called once before a simulation starts."""
 
-    def bind_runtime(self, timer, stats: Optional[Dict[str, int]]) -> None:
-        """Attach the simulator's timer/counter sinks (may be ``None``)."""
-        self._timer = timer
+    def bind_runtime(self, stats: Optional[Dict[str, int]]) -> None:
+        """Attach the simulator's counter sink (may be ``None``)."""
         self._stats = stats
 
     def select(self, t: int, queue, instance: Instance) -> np.ndarray:
@@ -77,9 +75,6 @@ class OnlinePolicy:
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
-
-    def _measure(self, name: str):
-        return self._timer.measure(name) if self._timer is not None else nullcontext()
 
     def _bump(self, name: str, k: int = 1) -> None:
         if self._stats is not None:
@@ -113,7 +108,7 @@ class OnlinePolicy:
         w = self._pair_weights(t, heads, queue, instance)
         us = queue.srcs[heads]
         vs = queue.dsts[heads]
-        with self._measure("matching_solve"):
+        with measure("matching_solve"):
             matching = max_weight_matching(
                 instance.switch.num_inputs,
                 instance.switch.num_outputs,
@@ -193,7 +188,7 @@ class MaxCardPolicy(OnlinePolicy):
         if self.warm_start and self._prev_pairs:
             warm = self._prev_pairs
             self._bump("warm_start_seeds", len(warm))
-        with self._measure("matching_solve"):
+        with measure("matching_solve"):
             matching = max_cardinality_matching_adjacency(
                 instance.switch.num_inputs,
                 instance.switch.num_outputs,

@@ -57,7 +57,7 @@ from repro.core.metrics import ScheduleMetrics
 from repro.core.schedule import Schedule, ScheduleError
 from repro.online.policies import OnlinePolicy
 from repro.scenarios.stream import _check_batch
-from repro.utils.timing import Timer
+from repro.utils.timing import current_timer
 
 _NO_FLOWS = np.empty(0, dtype=np.int64)
 
@@ -542,7 +542,6 @@ def simulate(
     instance: Instance,
     policy: OnlinePolicy,
     max_rounds: Optional[int] = None,
-    timer: Optional[Timer] = None,
     verify: bool = False,
 ) -> SimulationResult:
     """Run ``policy`` online over ``instance``.
@@ -561,10 +560,6 @@ def simulate(
         Safety cap: the policy gets at most ``max_rounds`` simulated
         rounds (default ``2 * instance.horizon_bound() + 1``); needing
         more raises ``RuntimeError`` (a policy that starves flows).
-    timer:
-        Optional :class:`~repro.utils.timing.Timer`; receives a
-        ``sim_round`` event per simulated round and — through the policy
-        — ``matching_solve`` events per matching extraction.
     verify:
         Certify the finished run through
         :func:`repro.verify.check_online_run` (schedule feasibility,
@@ -591,7 +586,7 @@ def simulate(
     stats: Dict[str, int] = {}
     bind = getattr(policy, "bind_runtime", None)
     if bind is not None:
-        bind(timer, stats)
+        bind(stats)
     assignment = np.full(n, -1, dtype=np.int64)
     queue_history: List[int] = []
 
@@ -610,7 +605,7 @@ def simulate(
     policy.reset(instance)
     rounds = _run_rounds(
         queue, instance.switch, policy.name, _arrival_rounds(queue.releases),
-        limit, lambda t: policy.select(t, queue, instance), record, timer,
+        limit, lambda t: policy.select(t, queue, instance), record,
     )
 
     stats["sim_rounds"] = rounds
@@ -656,7 +651,6 @@ def _run_rounds(
     limit: Callable[[int], None],
     select: Callable[[int], np.ndarray],
     record: Callable[[int, np.ndarray], None],
-    timer: Optional[Timer],
 ) -> int:
     """The round loop of every simulation; returns the rounds it ran.
 
@@ -666,9 +660,11 @@ def _run_rounds(
     raise when the run is over its round limit, asks ``select(t)`` for
     the fids to run (only when flows wait), checks them with
     :func:`_check_feasible`, hands them to ``record(t, chosen)`` while
-    the queue still holds them, and removes them.  With a ``timer``,
-    one ``sim_round`` event covers the whole round.
+    the queue still holds them, and removes them.  With a Timer active
+    (:func:`~repro.utils.timing.current_timer`), one ``sim_round`` event
+    covers the whole round; it opens no span.
     """
+    timer = current_timer()
     slot_in = np.empty(switch.num_inputs, dtype=np.int64)
     slot_out = np.empty(switch.num_outputs, dtype=np.int64)
     t = 0
@@ -896,7 +892,6 @@ def simulate_stream(
     max_rounds: Optional[int] = None,
     record_schedule: bool = False,
     record_queue_history: bool = False,
-    timer: Optional[Timer] = None,
     verify: bool = False,
 ) -> StreamSimulationResult:
     """Run ``policy`` online over an arrival *stream*.
@@ -932,9 +927,6 @@ def simulate_stream(
     record_schedule / record_queue_history:
         Retain the full assignment / per-round queue depths (O(flows) /
         O(rounds) memory — for tests and bounded runs).
-    timer:
-        Optional :class:`~repro.utils.timing.Timer` (``sim_round``
-        events, plus policy events).
     verify:
         Certify the finished run through
         :func:`repro.verify.check_online_run` and raise
@@ -966,7 +958,7 @@ def simulate_stream(
     stats: Dict[str, int] = {}
     bind = getattr(policy, "bind_runtime", None)
     if bind is not None:
-        bind(timer, stats)
+        bind(stats)
     policy.reset(view)
 
     it = iter(stream)
@@ -1026,7 +1018,7 @@ def simulate_stream(
 
     _run_rounds(
         queue, switch, policy.name, arrivals(), round_limit,
-        lambda t: policy.select(t, queue, view), record, timer,
+        lambda t: policy.select(t, queue, view), record,
     )
 
     # The loop may have walked empty trailing arrival rounds after the

@@ -35,7 +35,7 @@ import time
 from typing import Callable, List, Optional
 
 from repro.service.jobs import DEFAULT_CLAIM_TIMEOUT, Job, JobQueue
-from repro.utils.timing import Timer
+from repro.utils.timing import Timer, measure
 
 
 def default_owner() -> str:
@@ -86,28 +86,37 @@ def execute_job(job: Job, store) -> dict:
 
 
 def _run_job(job: Job, store) -> dict:
-    """The traced-or-not core of :func:`execute_job`."""
+    """The traced-or-not core of :func:`execute_job`.
+
+    The job records into its own :class:`Timer`, active on this worker
+    thread only: ``solve``, ``verify`` and any phase the certification
+    runs outside the solver's own Timer.
+    """
     from repro.core.instance import Instance
 
     timer = Timer()
     try:
-        instance = Instance.from_dict(job.instance)
-        from repro.api.registry import get_solver
+        with timer.recording():
+            instance = Instance.from_dict(job.instance)
+            from repro.api.registry import get_solver
 
-        solver = get_solver(job.solver)
-        with timer.measure("solve"):
-            report = solver.solve(instance, **dict(job.params))
-        certified = False
-        if job.verify and report.schedule is not None:
-            from repro.verify import certify_solve
+            solver = get_solver(job.solver)
+            with measure("solve"):
+                report = solver.solve(instance, **dict(job.params))
+            certified = False
+            if job.verify and report.schedule is not None:
+                from repro.verify import certify_solve
 
-            with timer.measure("verify"):
-                certify_solve(
-                    report, instance, subject=f"{job.solver}@{job.key[:12]}"
-                ).raise_if_failed()
-            certified = True
-        stored = report.to_stored_dict()
-        store.put(job.solver, instance.digest(), dict(job.params), stored)
+                with measure("verify"):
+                    certify_solve(
+                        report, instance,
+                        subject=f"{job.solver}@{job.key[:12]}",
+                    ).raise_if_failed()
+                certified = True
+            stored = report.to_stored_dict()
+            store.put(
+                job.solver, instance.digest(), dict(job.params), stored
+            )
         return {
             "ok": True,
             "key": job.key,

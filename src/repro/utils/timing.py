@@ -1,24 +1,35 @@
-"""Lightweight wall-clock timing for the experiment harness.
+"""Per-phase wall-clock timing: one call times a phase.
 
-The paper reports LP solve times (">3 hours" for the largest setting); the
-harness records per-phase runtimes with this helper so EXPERIMENTS.md can
-report paper-vs-measured runtime shape as well as objective values.
+``with measure(name):`` is the only way code times a phase.  It takes
+one ``perf_counter`` delta, adds it to the innermost :class:`Timer`
+active on the calling thread (``with timer.recording():``) and, when a
+``repro.obs`` tracer is ambient, closes a span of the same name with
+that same delta, so span sums equal Timer totals exactly.
 
-Thread-safe: service worker threads and the ``repro.obs`` profiler hook
-mutate ``totals``/``counts`` concurrently, so every mutation happens
-under an internal lock.  When a ``repro.obs`` tracer is ambient on the
-measuring thread, each :meth:`Timer.measure` block also opens a span
-under the same event name and closes it with the *same*
-``perf_counter`` delta the timer recorded — which is what makes span
-sums reconcile exactly with ``SolveReport.timings``.
+Three places activate a Timer: each built-in solver's
+``SolverAdapter.solve`` (one per report), the sweep runner's
+``run_batch`` and the service's ``_run_job``.  A phase lands in the
+innermost, per thread: a solver's phases in its report, the sweep's or
+job's own (generation, LP bounds, certification) in theirs.
+
+Two per-round aggregates, ``sim_round`` and ``batch_select``, call
+:meth:`Timer.add` on :func:`current_timer` and open no span: a span per
+round would triple the spans (45 to 135 a run) of the traced cell that
+``repro bench`` holds to a 3% tracing overhead.  Mutations hold the
+Timer's lock: service threads and the profiler hook share Timers.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterator, Optional
+
+from repro.obs.spans import current_tracer
+
+_LOCAL = threading.local()
 
 
 @dataclass
@@ -28,8 +39,9 @@ class Timer:
     Example
     -------
     >>> timer = Timer()
-    >>> with timer.measure("lp"):
-    ...     pass
+    >>> with timer.recording():
+    ...     with measure("lp"):
+    ...         pass
     >>> "lp" in timer.totals
     True
     """
@@ -40,9 +52,15 @@ class Timer:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
 
-    def measure(self, name: str) -> "_TimerContext":
-        """Return a context manager that adds its elapsed time to ``name``."""
-        return _TimerContext(self, name)
+    @contextmanager
+    def recording(self) -> Iterator["Timer"]:
+        """Make this the active Timer of this thread for the block."""
+        prev = getattr(_LOCAL, "timer", None)
+        _LOCAL.timer = self
+        try:
+            yield self
+        finally:
+            _LOCAL.timer = prev
 
     def add(self, name: str, seconds: float) -> None:
         """Record ``seconds`` against ``name`` directly."""
@@ -98,49 +116,30 @@ class Timer:
         return "\n".join(lines)
 
 
-def _current_tracer():
-    """Resolve (once) and call ``repro.obs.spans.current_tracer``.
-
-    Imported lazily to keep ``repro.utils`` free of package-level
-    dependencies, but cached so the per-measure hot path pays one
-    global read instead of a ``sys.modules`` lookup.
-    """
-    global _current_tracer
-    from repro.obs.spans import current_tracer
-
-    _current_tracer = current_tracer
-    return current_tracer()
+def current_timer() -> Optional[Timer]:
+    """The innermost :class:`Timer` active on this thread, or ``None``."""
+    return getattr(_LOCAL, "timer", None)
 
 
-class _TimerContext:
-    """Context manager produced by :meth:`Timer.measure`.
+class measure:
+    """``with measure(name):`` times the block as phase ``name``."""
 
-    Doubles as the timer->span bridge: when a ``repro.obs`` tracer is
-    ambient, the block is also recorded as a span named after the event,
-    closed with the exact duration added to the timer.
-    """
+    __slots__ = ("_name", "_timer", "_tracer", "_span", "_start")
 
-    __slots__ = ("_timer", "_name", "_start", "_tracer", "_span")
-
-    def __init__(self, timer: Timer, name: str):
-        self._timer = timer
+    def __init__(self, name: str):
         self._name = name
-        self._start = 0.0
-        self._tracer = None
-        self._span = None
 
-    def __enter__(self) -> "_TimerContext":
-        tracer = _current_tracer()
+    def __enter__(self) -> "measure":
+        self._timer = getattr(_LOCAL, "timer", None)
+        self._tracer = tracer = current_tracer()
         if tracer is not None:
-            self._tracer = tracer
             self._span = tracer.open(self._name)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
         elapsed = time.perf_counter() - self._start
-        self._timer.add(self._name, elapsed)
+        if self._timer is not None:
+            self._timer.add(self._name, elapsed)
         if self._tracer is not None:
             self._tracer.close(self._span, duration=elapsed)
-            self._tracer = None
-            self._span = None

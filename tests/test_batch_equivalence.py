@@ -165,12 +165,12 @@ class TestMergedKernels:
     def test_verify_and_timer(self):
         instances = _unit_cell(3)
         timer = Timer()
-        batch = simulate_batch(
-            instances,
-            [make_policy("MaxCard") for _ in instances],
-            timer=timer,
-            verify=True,
-        )
+        with timer.recording():
+            batch = simulate_batch(
+                instances,
+                [make_policy("MaxCard") for _ in instances],
+                verify=True,
+            )
         assert timer.counts.get("sim_round", 0) > 0
         # Per-phase attribution events from the merged engine.
         assert timer.counts.get("batch_select", 0) > 0
@@ -181,9 +181,8 @@ class TestMergedKernels:
     def test_pack_timer_events(self):
         instances = _unit_cell(3)
         timer = Timer()
-        simulate_batch(
-            instances, [make_policy("FIFO") for _ in instances], timer=timer
-        )
+        with timer.recording():
+            simulate_batch(instances, [make_policy("FIFO") for _ in instances])
         assert timer.counts.get("batch_pack", 0) > 0
         assert timer.counts.get("batch_select", 0) > 0
 

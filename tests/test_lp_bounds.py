@@ -140,15 +140,17 @@ class TestLPBoundOracle:
 
     def test_timer_counts_build_and_solves(self, instance):
         timer = Timer()
-        oracle = LPBoundOracle(instance, timer=timer)
-        oracle.lower_bound()
+        oracle = LPBoundOracle(instance)
+        with timer.recording():
+            oracle.lower_bound()
         assert timer.counts.get("lp_bound_build", 0) == oracle.builds
         assert timer.counts.get("lp_bound_solve", 0) == oracle.solves
 
     def test_timer_counts_open_search(self, open_instance):
         timer = Timer()
-        oracle = LPBoundOracle(open_instance, timer=timer)
-        oracle.lower_bound()
+        oracle = LPBoundOracle(open_instance)
+        with timer.recording():
+            oracle.lower_bound()
         assert timer.counts["lp_bound_build"] == oracle.builds == 1
         assert timer.counts["lp_bound_solve"] == oracle.solves > 0
 
@@ -318,7 +320,8 @@ class TestDigestMemo:
     def test_cache_served_without_lp_work(self, instance):
         mrt_lower_bound(instance)
         timer = Timer()
-        mrt_lower_bound(instance, timer=timer)
+        with timer.recording():
+            mrt_lower_bound(instance)
         assert timer.counts.get("lp_bound_build", 0) == 0
         assert timer.counts.get("lp_bound_solve", 0) == 0
 

@@ -44,7 +44,7 @@ from repro.obs import (
 )
 from repro.obs.export import _dump_record
 from repro.obs.metrics import event_observer, is_canonical_seconds_key
-from repro.utils.timing import Timer
+from repro.utils.timing import Timer, measure
 
 
 # ---------------------------------------------------------------------------
@@ -444,21 +444,22 @@ class TestTimer:
     def test_measure_bridges_to_ambient_span_exactly(self):
         tracer = Tracer()
         timer = Timer()
-        with session(tracer):
-            with timer.measure("phase"):
+        with session(tracer), timer.recording():
+            with measure("phase"):
                 time.sleep(0.001)
-            with timer.measure("phase"):
+            with measure("phase"):
                 pass
         spans = [s for s in tracer.finished if s["name"] == "phase"]
         assert len(spans) == 2
-        # The bridge closes each span with the same perf_counter delta
-        # the timer recorded — sums reconcile exactly, not approximately.
+        # measure closes each span with the same perf_counter delta it
+        # adds to the timer — sums reconcile exactly, not approximately.
         assert sum(s["dur"] for s in spans) == timer.totals["phase"]
 
     def test_measure_without_tracer_records_no_span(self):
         timer = Timer()
-        with timer.measure("alone"):
-            pass
+        with timer.recording():
+            with measure("alone"):
+                pass
         assert timer.counts["alone"] == 1
 
 

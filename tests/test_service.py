@@ -27,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.api.adapters import GreedySolver
+from repro.api.registry import register_solver, unregister_solver
 from repro.api.store import ResultStore, canonical_key, live_records
 from repro.core.instance import Instance
 from repro.service import (
@@ -423,23 +425,48 @@ class TestServiceEndToEnd:
         assert payload["status"] == "ok"
 
     def test_coalescing_16_identical_requests_one_solve(self, service):
-        """Acceptance: 16 concurrent identical-digest requests, 1 solve."""
+        """Acceptance: 16 concurrent identical-digest requests, 1 solve.
+
+        The solve waits until the broker counts 15 coalesced waiters, so
+        no request can arrive after it finishes and become a cache hit.
+        """
         client = ServiceClient(service.address, timeout=60.0)
         inst = small_instance(33)
         results = [None] * 16
         barrier = threading.Barrier(16)
+        release = threading.Event()
+
+        class GatedGreedy(GreedySolver):
+            name = "GatedGreedy"
+
+            def _solve(self, instance):
+                release.wait(timeout=30)
+                return super()._solve(instance)
 
         def submit(i):
             barrier.wait()
-            results[i] = client.solve("Greedy", instance=inst, timeout=30)
+            results[i] = client.solve(
+                "GatedGreedy", instance=inst, timeout=30
+            )
 
         threads = [
             threading.Thread(target=submit, args=(i,)) for i in range(16)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        register_solver("GatedGreedy", GatedGreedy)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline and parse_metric(
+                client.metrics(), "repro_coalesced_total"
+            ) != 15:
+                time.sleep(0.005)
+        finally:
+            release.set()
+            for t in threads:
+                t.join(timeout=60)
+            unregister_solver("GatedGreedy")
+        assert not any(t.is_alive() for t in threads)
         assert all(r is not None and r.ok for r in results)
         reports = {json.dumps(r.report, sort_keys=True) for r in results}
         assert len(reports) == 1  # every waiter saw the same record
@@ -450,7 +477,7 @@ class TestServiceEndToEnd:
         text = client.metrics()
         assert parse_metric(text, "repro_coalesced_total") == 15
         assert parse_metric(
-            text, "repro_solved_total", solver="Greedy"
+            text, "repro_solved_total", solver="GatedGreedy"
         ) == 1
         sources = sorted(r.source for r in results)
         assert sources.count("coalesced") == 15

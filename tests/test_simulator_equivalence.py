@@ -394,7 +394,8 @@ class TestWarmStartMode:
     def test_timer_records_matching_and_round_events(self):
         timer = Timer()
         inst = poisson_uniform_workload(4, 4, 6, seed=2)
-        simulate(inst, MaxCardPolicy(), timer=timer)
+        with timer.recording():
+            simulate(inst, MaxCardPolicy())
         assert timer.counts.get("sim_round", 0) > 0
         assert timer.counts.get("matching_solve", 0) > 0
 

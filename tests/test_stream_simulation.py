@@ -109,7 +109,8 @@ class TestEquivalence:
     def test_timer_and_policy_stats_flow_through(self):
         stream = build_stream("paper-default:ports=8,mean=5,horizon=20", seed=0)
         timer = Timer()
-        res = simulate_stream(stream, make_policy("MaxCard"), timer=timer)
+        with timer.recording():
+            res = simulate_stream(stream, make_policy("MaxCard"))
         assert timer.counts["sim_round"] == res.rounds
         assert res.stats["matching_solves"] > 0
         assert res.stats["sim_rounds"] == res.rounds

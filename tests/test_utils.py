@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import derive_seed, make_rng, spawn_rngs
-from repro.utils.timing import Timer
+from repro.utils.timing import Timer, measure
 from repro.utils.validation import (
     check_in,
     check_nonnegative_int,
@@ -81,10 +81,11 @@ class TestValidation:
 class TestTimer:
     def test_measure_accumulates(self):
         timer = Timer()
-        with timer.measure("phase"):
-            pass
-        with timer.measure("phase"):
-            pass
+        with timer.recording():
+            with measure("phase"):
+                pass
+            with measure("phase"):
+                pass
         assert timer.counts["phase"] == 2
         assert timer.totals["phase"] >= 0.0
 

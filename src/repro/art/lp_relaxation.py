@@ -20,7 +20,9 @@ per-4-round *blocks* of capacity ``4 c_p`` and uses the coefficient
 Both builders fill the model's arrays directly.  Their column and row
 order is part of the contract (HiGHS's vertex depends on it):
 
-* columns are flow-major, with the rounds of each flow ascending;
+* columns are flow-major, with the rounds of each flow ascending:
+  every round of the flow's window in LP (1)–(4), the flow's first
+  round in each block in LP (5)–(8);
 * rows are the covering rows in flow order, stored negated as
   ``-sum_t b_{e,t} <= -d_e``; then the input-port capacity rows of the
   touched (port, round) or (port, block) pairs, sorted; then the
@@ -52,8 +54,8 @@ def _horizon(instance: Instance, horizon: Optional[int]) -> int:
 
 
 def _flow_rounds(starts: np.ndarray, ends: np.ndarray):
-    """``(flow, round)`` of the columns ``t in [starts[e], ends[e])``,
-    flow-major with rounds ascending."""
+    """``(e, t)`` for every ``t in [starts[e], ends[e])``, flow-major
+    with t ascending (rounds, or blocks of rounds)."""
     lengths = ends - starts
     flow = np.repeat(np.arange(starts.size), lengths)
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -173,13 +175,30 @@ def build_interval_lp0(
 
     Constraint (7) groups rounds into fixed blocks
     ``(BLOCK*(a-1), BLOCK*a]`` with capacity ``BLOCK * c_p``; here with
-    0-indexed rounds the blocks are ``[BLOCK*a, BLOCK*(a+1))``.  Every
-    flow has a column for each round of ``[r_e, horizon)``, with cost
-    ``(t - r_e)/d_e + 1/2``; rows follow the module's order, keyed by
-    (port, block).
+    0-indexed rounds the blocks are ``[BLOCK*a, BLOCK*(a+1))``.  Each
+    flow has one column per block that meets ``[r_e, horizon)``: the
+    block's earliest round the flow can use, ``max(r_e, BLOCK*a)``, with
+    cost ``(t - r_e)/d_e + 1/2``.  This leaves the optimum of the LP
+    with a column for every round of ``[r_e, horizon)`` unchanged:
+
+    * a flow's columns in one block have the same entries (-1 in its
+      covering row, +1 in its (src, block) and (dst, block) rows), and
+      their costs rise with t;
+    * so moving the mass of a later round to the block's first one keeps
+      every constraint and lowers the cost: every optimal solution of
+      the all-rounds LP lies on the kept columns, and the reduced LP, a
+      restriction, has the same optimum.
+
+    LP(0)'s optimum, and with it the pseudo-schedule's ``lp0_optimum``
+    and Lemma 3.3's chain of LP values, is therefore unchanged.  The
+    all-rounds LP has the same rows, since each flow touches the same
+    blocks; HiGHS presolve deletes its dominated columns anyway.  Rows
+    follow the module's order, keyed by (port, block).
     """
     H = _horizon(instance, horizon)
     releases = instance.releases()
-    flow, rounds = _flow_rounds(releases, np.full_like(releases, H))
+    first = releases // BLOCK
+    flow, blocks = _flow_rounds(first, np.full_like(first, -(-H // BLOCK)))
+    rounds = np.maximum(BLOCK * blocks, releases[flow])
     cost = (rounds - releases[flow]) / instance.demands()[flow] + 0.5
-    return _covering_lp(instance, flow, rounds, cost, rounds // BLOCK, BLOCK)
+    return _covering_lp(instance, flow, rounds, cost, blocks, BLOCK)

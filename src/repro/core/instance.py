@@ -20,6 +20,21 @@ import numpy as np
 
 from repro.core.flow import Flow
 from repro.core.switch import Switch
+from repro.utils.validation import (
+    INT64_MAX,
+    check_nonnegative_int,
+    check_positive_int,
+)
+
+#: The flow fields of a serialized instance, in :class:`Flow`'s check
+#: order: key, smallest value, and the check of a value that is not a
+#: plain int in ``[smallest, INT64_MAX]``.
+_FLOW_FIELDS = (
+    ("src", 0, check_nonnegative_int),
+    ("dst", 0, check_nonnegative_int),
+    ("demand", 1, check_positive_int),
+    ("release", 0, check_nonnegative_int),
+)
 
 
 @dataclass(frozen=True)
@@ -315,7 +330,13 @@ class Instance:
 
     @staticmethod
     def from_dict(data: dict) -> "Instance":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Each flow field is checked as :class:`Flow` checks it, in the
+        same order and with the same errors; a plain ``int`` already in
+        range skips the check.  One :meth:`from_arrays` call then does
+        the port and kappa checks of :meth:`create`.
+        """
         sw = data["switch"]
         switch = Switch.create(
             sw["num_inputs"],
@@ -323,11 +344,15 @@ class Instance:
             sw["input_capacities"],
             sw["output_capacities"],
         )
-        flows = [
-            Flow(f["src"], f["dst"], f.get("demand", 1), f.get("release", 0))
-            for f in data["flows"]
-        ]
-        return Instance.create(switch, flows)
+        values = []
+        for f in data["flows"]:
+            row = (f["src"], f["dst"], f.get("demand", 1), f.get("release", 0))
+            for v, (name, low, check) in zip(row, _FLOW_FIELDS):
+                if type(v) is not int or not low <= v <= INT64_MAX:
+                    v = check(v, name)
+                values.append(v)
+        columns = np.array(values, dtype=np.int64).reshape(-1, 4).T
+        return Instance.from_arrays(switch, *columns)
 
     def digest(self) -> str:
         """Canonical content digest of the instance (hex SHA-256).

@@ -20,19 +20,24 @@ CapacitySpec = Union[int, Sequence[int], np.ndarray]
 
 
 def _as_capacity_array(spec: CapacitySpec, count: int, name: str) -> np.ndarray:
-    """Normalize a capacity spec (scalar or per-port sequence) to an array."""
+    """Normalize a capacity spec (scalar or per-port sequence) to an array.
+
+    Each entry of a sequence is checked like a scalar spec, so a float, a
+    bool, a value below 1 or one beyond int64 raises instead of being
+    truncated or overflowing.
+    """
     if np.isscalar(spec):
         cap = check_positive_int(spec, name)
         return np.full(count, cap, dtype=np.int64)
-    arr = np.asarray(spec, dtype=np.int64)
-    if arr.ndim != 1 or arr.shape[0] != count:
+    if np.ndim(spec) != 1 or len(spec) != count:
         raise ValueError(
             f"{name} must be a scalar or a length-{count} sequence, "
-            f"got shape {arr.shape}"
+            f"got shape {np.shape(spec)}"
         )
-    if (arr < 1).any():
-        raise ValueError(f"all {name} entries must be >= 1")
-    return arr.copy()
+    entries = spec.tolist() if isinstance(spec, np.ndarray) else spec
+    return np.array(
+        [check_positive_int(cap, name) for cap in entries], dtype=np.int64
+    )
 
 
 @dataclass(frozen=True)

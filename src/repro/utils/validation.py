@@ -11,24 +11,32 @@ import numbers
 from typing import Any
 
 
-def check_positive_int(value: Any, name: str) -> int:
-    """Validate that ``value`` is an integer ``>= 1`` and return it as int."""
+#: The largest integer a check accepts: every validated count, port,
+#: demand, release or capacity is stored in an int64 array.
+INT64_MAX = 2**63 - 1
+
+
+def _check_int(value: Any, name: str, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     value = int(value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > INT64_MAX:
+        raise ValueError(f"{name} must fit in int64, got {value}")
     return value
+
+
+def check_positive_int(value: Any, name: str) -> int:
+    """Validate that ``value`` is an integer in ``[1, INT64_MAX]`` and
+    return it as int."""
+    return _check_int(value, name, 1)
 
 
 def check_nonnegative_int(value: Any, name: str) -> int:
-    """Validate that ``value`` is an integer ``>= 0`` and return it as int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
+    """Validate that ``value`` is an integer in ``[0, INT64_MAX]`` and
+    return it as int."""
+    return _check_int(value, name, 0)
 
 
 def check_probability(value: Any, name: str) -> float:

@@ -10,7 +10,9 @@ of the models' export, so the tests can pin the array code to them:
   stacked above ``A_eq`` in CSC form, ``>=`` rows negated);
 * :func:`build_fractional_art_lp`, :func:`build_interval_lp0`,
   :func:`build_lp_ell` and :func:`build_time_constrained_lp` — LP (1)–(4),
-  (5)–(8), (9)–(12) and (19)–(21), built by name;
+  (5)–(8), (9)–(12) and (19)–(21), built by name; ``build_interval_lp0``
+  also builds LP (5)–(8) with a column for every round, the model whose
+  dominated columns the library drops;
 * :func:`linprog_solve` — the ``linprog`` solve with the status mapping
   the library used;
 * :func:`round_time_constrained` and :func:`iterative_rounding` — the
@@ -206,14 +208,26 @@ def build_fractional_art_lp(instance: Instance, horizon=None) -> NamedLP:
     return lp
 
 
-def build_interval_lp0(instance: Instance, horizon=None) -> NamedLP:
-    """LP (5)-(8): every round of ``[r_e, H)``, blocks of ``BLOCK``."""
+def build_interval_lp0(
+    instance: Instance, horizon=None, all_rounds: bool = False
+) -> NamedLP:
+    """LP (5)-(8), blocks of ``BLOCK``: each flow's first round in each
+    block that meets ``[r_e, H)``, or with ``all_rounds`` every round of
+    ``[r_e, H)`` (the model the library's builder drops columns from)."""
     H = _horizon(instance, horizon)
     lp = NamedLP()
     sw = instance.switch
+
+    def rounds(flow):
+        return [
+            t
+            for t in range(flow.release, H)
+            if all_rounds or t == flow.release or t % BLOCK == 0
+        ]
+
     for flow in instance.flows:
         coeffs = {}
-        for t in range(flow.release, H):
+        for t in rounds(flow):
             name = ("b", flow.fid, t)
             cost = (t - flow.release) / flow.demand + 0.5
             lp.add_variable(name, objective=cost)
@@ -223,7 +237,7 @@ def build_interval_lp0(instance: Instance, horizon=None) -> NamedLP:
     in_rows: dict = {}
     out_rows: dict = {}
     for flow in instance.flows:
-        for t in range(flow.release, H):
+        for t in rounds(flow):
             name = ("b", flow.fid, t)
             in_rows.setdefault((flow.src, t // BLOCK), {})[name] = 1.0
             out_rows.setdefault((flow.dst, t // BLOCK), {})[name] = 1.0

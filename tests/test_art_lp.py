@@ -1,8 +1,14 @@
 """Tests for the FS-ART linear programs (LP (1)-(4) and LP (5)-(8))."""
 
+import dataclasses
+import importlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import get_solver
 from repro.art.lp_relaxation import (
     BLOCK,
     art_lp_lower_bound,
@@ -16,6 +22,7 @@ from repro.core.metrics import total_response_time
 from repro.core.switch import Switch
 from repro.lp.solver import solve_lp
 from repro.mrt.exact import exact_min_total_response
+from repro.workloads.synthetic import poisson_uniform_workload
 from tests import lp_reference as ref
 from tests.conftest import capacitated_instances, unit_instances
 
@@ -100,6 +107,75 @@ def check_windows_keep_optimum(inst):
         assert outside <= 1e-9
 
 
+def all_rounds_lp0(inst, horizon=None):
+    """LP (5)-(8) with a column for every round of ``[r_e, H)``."""
+    return ref.to_model(ref.build_interval_lp0(inst, horizon, all_rounds=True))
+
+
+@st.composite
+def with_horizon(draw, instances):
+    """An instance, and ``None``, its compact horizon or an override."""
+    inst = draw(instances)
+    horizon = draw(
+        st.one_of(
+            st.none(),
+            st.just(inst.compact_horizon_bound()),
+            st.integers(inst.max_release + 1, inst.horizon_bound() + 3),
+        )
+    )
+    return inst, horizon
+
+
+def check_block_columns_keep_optimum(inst, horizon):
+    """LP(0) is the all-rounds LP (5)-(8) minus some columns, with the
+    same optimum; the all-rounds optimum puts no mass on those columns."""
+    if inst.num_flows == 0:
+        return
+    lp = build_interval_lp0(inst, horizon)
+    full = all_rounds_lp0(inst, horizon)
+    assert np.array_equal(lp.row_lower, full.row_lower)
+    assert np.array_equal(lp.row_upper, full.row_upper)
+    kept = [columns(full).index(c) for c in columns(lp)]
+    assert np.array_equal(lp.cost, full.cost[kept])
+    assert np.array_equal(lp.dense_matrix(), full.dense_matrix()[:, kept])
+    full_result = solve_lp(full)
+    value = solve_lp(lp).objective
+    assert value == pytest.approx(full_result.objective, rel=1e-9)
+    dropped = np.ones(full.num_vars, dtype=bool)
+    dropped[kept] = False
+    mass = full_result.x.sum()
+    assert full_result.x[dropped].sum() <= 1e-9 * mass
+
+
+class TestBlockColumns:
+    """One column per (flow, block) leaves LP (5)-(8)'s optimum, and
+    FS-ART's schedules, unchanged."""
+
+    @given(with_horizon(unit_instances(max_ports=4, max_flows=8)))
+    @settings(max_examples=40, deadline=None)
+    def test_unit_instances(self, case):
+        check_block_columns_keep_optimum(*case)
+
+    @given(with_horizon(capacitated_instances(max_ports=3, max_flows=7)))
+    @settings(max_examples=40, deadline=None)
+    def test_capacitated_instances(self, case):
+        check_block_columns_keep_optimum(*case)
+
+    def test_fs_art_reports_unchanged(self, monkeypatch):
+        """On service-sized instances, FS-ART rounds the same vertex
+        from the all-rounds LP(0) as from the reduced one."""
+        module = importlib.import_module("repro.art.iterative_rounding")
+        solver = get_solver("FS-ART")
+        for seed in range(20):
+            inst = poisson_uniform_workload(8, 8.0, 6, seed=seed)
+            reports = []
+            for build in (all_rounds_lp0, build_interval_lp0):
+                monkeypatch.setattr(module, "build_interval_lp0", build)
+                report = solver.solve(inst)
+                reports.append(dataclasses.replace(report, timings={}))
+            assert reports[0].to_dict() == reports[1].to_dict(), seed
+
+
 class TestLPConstruction:
     def test_variables_start_at_release(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 0, 1, 3)])
@@ -136,10 +212,26 @@ class TestLPConstruction:
         # One covering row, then rounds 0..7 -> blocks 0 and 1 per side.
         assert lp.num_rows == 1 + 4
         assert lp.row_upper[1:].tolist() == [float(BLOCK)] * 4
-        # Rounds 0-3 share the side's first block row, 4-7 its second.
+        # One column per block, at its first round: 0 for the side's
+        # first block row, 4 for its second.
+        assert columns(lp) == [(0, 0), (0, BLOCK)]
+        assert lp.cost.tolist() == [0.5, BLOCK + 0.5]
         A = lp.dense_matrix()
-        assert A[1].tolist() == [1.0] * BLOCK + [0.0] * BLOCK
-        assert A[4].tolist() == [0.0] * BLOCK + [1.0] * BLOCK
+        assert A.tolist() == [
+            [-1.0, -1.0],
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [1.0, 0.0],
+            [0.0, 1.0],
+        ]
+
+    def test_interval_lp0_block_starts_at_release(self):
+        # Released at 2: the first block's column is round 2, not 0.
+        inst = Instance.create(Switch.create(1, 1), [Flow(0, 0, 1, 2)])
+        lp = build_interval_lp0(inst, horizon=2 * BLOCK)
+        assert columns(lp) == [(0, 2), (0, BLOCK)]
+        assert lp.cost.tolist() == [0.5, BLOCK - 2 + 0.5]
+        assert lp.num_rows == 1 + 4
 
     def test_interval_lp0_is_relaxation_of_fractional(self):
         """LP(0)'s optimum never exceeds the per-round LP's (unit case)."""

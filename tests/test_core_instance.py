@@ -3,11 +3,61 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.flow import Flow
 from repro.core.instance import Instance
 from repro.core.switch import Switch
 from tests.conftest import capacitated_instances
+
+
+def reference_from_dict(data: dict) -> Instance:
+    """Parse a payload through one :class:`Flow` per flow."""
+    sw = data["switch"]
+    switch = Switch.create(
+        sw["num_inputs"],
+        sw["num_outputs"],
+        sw["input_capacities"],
+        sw["output_capacities"],
+    )
+    flows = [
+        Flow(f["src"], f["dst"], f.get("demand", 1), f.get("release", 0))
+        for f in data["flows"]
+    ]
+    return Instance.create(switch, flows)
+
+
+def parsed(parse, data):
+    """The digest and vectors of ``parse(data)``, or what it raised."""
+    try:
+        inst = parse(data)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return inst.digest(), [v.tolist() for v in inst._vectors()]
+
+
+FIELDS = ("src", "dst", "demand", "release")
+
+#: Values that break a flow field: wrong type, below its minimum, beyond
+#: int64, or (for ports and demands) past the switch.
+BAD_VALUES = st.sampled_from(
+    [-1, 0, 1.0, 1.5, True, None, "1", 2**63, 10**30, 99]
+)
+
+
+@st.composite
+def payloads(draw):
+    """A serialized instance, unchanged, with a default key dropped, or
+    with one flow field replaced by a bad value."""
+    data = draw(capacitated_instances()).to_dict()
+    if data["flows"]:
+        flow = draw(st.sampled_from(data["flows"]))
+        action = draw(st.sampled_from(["keep", "drop", "break"]))
+        if action == "drop":
+            del flow[draw(st.sampled_from(["demand", "release"]))]
+        elif action == "break":
+            flow[draw(st.sampled_from(FIELDS))] = draw(BAD_VALUES)
+    return data
 
 
 class TestInstanceCreate:
@@ -95,6 +145,38 @@ class TestInstanceSerialization:
         small_instance.save_json(path)
         again = Instance.load_json(path)
         assert again.flows == small_instance.flows
+
+    @given(payloads())
+    def test_from_dict_matches_flow_by_flow_parse(self, data):
+        """Same instance, or the same exception and message, as one
+        :class:`Flow` per flow."""
+        assert parsed(Instance.from_dict, data) == parsed(
+            reference_from_dict, data
+        )
+
+    def test_from_dict_accepts_numpy_integers(self, small_instance):
+        data = small_instance.to_dict()
+        for f in data["flows"]:
+            f["src"], f["release"] = np.int64(f["src"]), np.int32(f["release"])
+        again = Instance.from_dict(data)
+        assert again.digest() == small_instance.digest()
+        assert again.flows == small_instance.flows
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_from_dict_beyond_int64_is_value_error(self, small_instance, field):
+        data = small_instance.to_dict()
+        data["flows"][1][field] = 2**63
+        with pytest.raises(ValueError, match=f"{field} must fit in int64"):
+            Instance.from_dict(data)
+
+    def test_from_dict_rejects_malformed_capacities(self, small_instance):
+        data = small_instance.to_dict()
+        data["switch"]["input_capacities"] = [1.5, 1, 1, 1]
+        with pytest.raises(TypeError, match="input_capacities"):
+            Instance.from_dict(data)
+        data["switch"]["input_capacities"] = [10**30, 1, 1, 1]
+        with pytest.raises(ValueError, match="input_capacities"):
+            Instance.from_dict(data)
 
     @given(capacitated_instances())
     def test_round_trip_property(self, inst):

@@ -46,6 +46,33 @@ class TestSwitchCreate:
         with pytest.raises(ValueError):
             Switch.create(3, 3, [1, 2])
 
+    @pytest.mark.parametrize(
+        "caps, error",
+        [
+            ([1.5, 1], TypeError),  # was truncated to [1, 1]
+            ([True, 1], TypeError),  # was read as [1, 1]
+            ([10**30, 1], ValueError),  # was NumPy's OverflowError
+            ([2**63, 1], ValueError),
+            ([0, 1], ValueError),
+        ],
+    )
+    def test_malformed_capacity_entries_rejected(self, caps, error):
+        with pytest.raises(error, match="input_capacities"):
+            Switch.create(2, 2, caps)
+        with pytest.raises(error, match="output_capacities"):
+            Switch.create(2, 2, 1, caps)
+
+    def test_scalar_capacity_beyond_int64_rejected(self):
+        with pytest.raises(ValueError, match="int64"):
+            Switch.create(2, 2, 2**63)
+
+    def test_numpy_capacity_entries_accepted(self):
+        sw = Switch.create(2, 2, np.array([1, 3], dtype=np.int32))
+        assert sw.input_capacities.dtype == np.int64
+        assert sw.input_capacities.tolist() == [1, 3]
+        sw = Switch.create(2, 2, [np.int64(2), 2**63 - 1])
+        assert sw.input_capacities.tolist() == [2, 2**63 - 1]
+
     def test_capacity_arrays_read_only(self):
         sw = Switch.create(2)
         with pytest.raises(ValueError):

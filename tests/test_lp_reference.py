@@ -17,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.art.iterative_rounding import _build_lp_ell, iterative_rounding
-from repro.art.lp_relaxation import build_fractional_art_lp, build_interval_lp0
+from repro.art.lp_relaxation import (
+    BLOCK,
+    build_fractional_art_lp,
+    build_interval_lp0,
+)
 from repro.core.flow import Flow
 from repro.core.instance import Instance
 from repro.core.switch import Switch
@@ -428,6 +432,12 @@ def spread_point(lp):
     return x
 
 
+def two_blocks(inst):
+    """A horizon at which every flow's rounds meet two blocks, so LP(0)
+    gives each flow two columns and :func:`spread_point` is fractional."""
+    return inst.horizon_bound() + BLOCK
+
+
 def compare_iterative_rounding(inst, horizon=None, stubbed=0):
     ours_solve = delegating(solve_lp, stubbed, spread_point)
     theirs_solve = delegating(ref.linprog_solve, stubbed, spread_point)
@@ -493,7 +503,10 @@ class TestRoundingMatchesReference:
     def test_iterative_rounding_through_lp_ell(self, inst):
         """A fractional LP(0) point sends both loops through LP(ell)."""
         if inst.num_flows:
-            assert compare_iterative_rounding(inst, stubbed=1).iterations >= 2
+            pseudo = compare_iterative_rounding(
+                inst, two_blocks(inst), stubbed=1
+            )
+            assert pseudo.iterations >= 2
 
     @given(unit_instances(max_ports=3, max_flows=8))
     @settings(max_examples=30, deadline=None)
@@ -501,7 +514,9 @@ class TestRoundingMatchesReference:
         """LP(ell) returning LP(0)'s fractional point makes no progress,
         so both loops force the same flow to the same round."""
         if inst.num_flows:
-            pseudo = compare_iterative_rounding(inst, stubbed=2)
+            pseudo = compare_iterative_rounding(
+                inst, two_blocks(inst), stubbed=2
+            )
             assert pseudo.fallback_fixes >= 1
 
 

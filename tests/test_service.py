@@ -420,6 +420,19 @@ class TestServiceEndToEnd:
         assert excinfo.value.code == "unknown-solver"
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("caps", [[1.5, 1, 1, 1], [10**30, 1, 1, 1]])
+    def test_malformed_capacities_rejected(self, service, caps):
+        """A float capacity was truncated and solved (HTTP 200), a
+        capacity beyond int64 escaped as HTTP 500."""
+        client = ServiceClient(service.address, timeout=60.0)
+        payload = small_instance().to_dict()
+        payload["switch"]["input_capacities"] = caps
+        with pytest.raises(ServiceError) as excinfo:
+            client.solve("Greedy", instance=payload)
+        assert excinfo.value.code == "bad-request"
+        assert excinfo.value.status == 400
+        assert "input_capacities" in str(excinfo.value)
+
     def test_healthz(self, service):
         payload = ServiceClient(service.address, timeout=60.0).healthz()
         assert payload["status"] == "ok"

@@ -121,7 +121,6 @@ class ARTSolver(SolverAdapter):
         c: int = 1,
         window: Optional[int] = None,
         horizon: Optional[int] = None,
-        backend: str = "auto",
         compute_lower_bound: bool = True,
     ) -> SolveReport:
         from repro.art.algorithm import solve_art
@@ -131,7 +130,6 @@ class ARTSolver(SolverAdapter):
             c=c,
             window=window,
             horizon=horizon,
-            backend=backend,
             compute_lower_bound=compute_lower_bound,
         )
         lower = {}
@@ -147,7 +145,6 @@ class ARTSolver(SolverAdapter):
                 "c": c,
                 "window": window,
                 "horizon": horizon,
-                "backend": backend,
                 "compute_lower_bound": compute_lower_bound,
             },
             extras={
@@ -169,21 +166,18 @@ class MRTSolver(SolverAdapter):
     kind = "offline"
 
     def _solve(
-        self,
-        instance: Instance,
-        backend: str = "auto",
-        rho_upper: Optional[int] = None,
+        self, instance: Instance, rho_upper: Optional[int] = None
     ) -> SolveReport:
         from repro.mrt.algorithm import solve_mrt
 
-        res = solve_mrt(instance, backend=backend, rho_upper=rho_upper)
+        res = solve_mrt(instance, rho_upper=rho_upper)
         return SolveReport(
             solver=self.name,
             kind=self.kind,
             metrics=ScheduleMetrics.of(res.schedule),
             schedule=res.schedule,
             lower_bounds={"rho_star": float(res.rho)},
-            params={"backend": backend, "rho_upper": rho_upper},
+            params={"rho_upper": rho_upper},
             extras={
                 "rho": res.rho,
                 "max_violation": res.max_violation,
@@ -220,7 +214,6 @@ class TimeConstrainedSolver(SolverAdapter):
         instance,
         rho: Optional[int] = None,
         deadlines: Optional[Sequence[int]] = None,
-        backend: str = "auto",
     ) -> SolveReport:
         from repro.mrt.algorithm import schedule_time_constrained
 
@@ -243,8 +236,8 @@ class TimeConstrainedSolver(SolverAdapter):
             # that size admits a schedule on any instance.
             rho = instance.horizon_bound()
             tci = from_response_bound(instance, int(rho))
-        res = schedule_time_constrained(tci, backend=backend)
-        params = {"backend": backend}
+        res = schedule_time_constrained(tci)
+        params = {}
         if rho is not None:
             params["rho"] = int(rho)
         if deadlines is not None:
@@ -296,25 +289,17 @@ class AMRTSolver(SolverAdapter):
         self,
         instance: Instance,
         initial_rho: int = 1,
-        backend: str = "auto",
         max_rho: Optional[int] = None,
     ) -> SolveReport:
         from repro.online.amrt import run_amrt
 
-        res = run_amrt(
-            instance, initial_rho=initial_rho, backend=backend,
-            max_rho=max_rho,
-        )
+        res = run_amrt(instance, initial_rho=initial_rho, max_rho=max_rho)
         return SolveReport(
             solver=self.name,
             kind=self.kind,
             metrics=res.metrics,
             schedule=res.schedule,
-            params={
-                "initial_rho": initial_rho,
-                "backend": backend,
-                "max_rho": max_rho,
-            },
+            params={"initial_rho": initial_rho, "max_rho": max_rho},
             extras={
                 "final_rho": res.final_rho,
                 "max_port_usage": res.max_port_usage,

@@ -61,7 +61,6 @@ def solve_art(
     c: int = 1,
     window: Optional[int] = None,
     horizon: Optional[int] = None,
-    backend: str = "auto",
     compute_lower_bound: bool = True,
 ) -> ARTResult:
     """Solve FS-ART per Theorem 1 (unit demands).
@@ -76,9 +75,8 @@ def solve_art(
     window:
         Override the conversion window ``h``.
     horizon:
-        LP horizon override.
-    backend:
-        LP backend.
+        LP horizon override; one too short for the LPs raises
+        ``ValueError``.
     compute_lower_bound:
         Also solve LP (1)–(4) for the certified lower bound (extra LP
         solve; disable for benchmarks that only need the schedule).
@@ -88,10 +86,10 @@ def solve_art(
     ARTResult
     """
     check_positive_int(c, "c")
-    pseudo = iterative_rounding(instance, horizon=horizon, backend=backend)
+    pseudo = iterative_rounding(instance, horizon=horizon)
     conversion = pseudo_to_schedule(pseudo, c=c, window=window)
     lower = (
-        art_lp_lower_bound(instance, horizon=horizon, backend=backend)
+        art_lp_lower_bound(instance, horizon=horizon)
         if compute_lower_bound
         else None
     )

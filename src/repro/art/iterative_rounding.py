@@ -43,7 +43,6 @@ _TOL = 1e-7
 def iterative_rounding(
     instance: Instance,
     horizon: Optional[int] = None,
-    backend: str = "auto",
     max_iterations: Optional[int] = None,
 ) -> PseudoSchedule:
     """Round LP (5)–(8) into a pseudo-schedule (Lemma 3.3).
@@ -56,9 +55,9 @@ def iterative_rounding(
     instance:
         Unit-demand instance (raises ``ValueError`` otherwise).
     horizon:
-        LP time horizon; defaults to ``instance.horizon_bound()``.
-    backend:
-        LP backend (must produce vertex solutions; ``auto`` → highs-ds).
+        LP time horizon; defaults to ``instance.horizon_bound()``, which
+        LP (5)–(8) always fits.  A shorter one that leaves LP (5)–(8)
+        infeasible raises ``ValueError``.
     max_iterations:
         Defensive cap; defaults to ``2 log2(n) + 20``.
 
@@ -80,9 +79,11 @@ def iterative_rounding(
     # --- LP(0) -----------------------------------------------------------
     lp = build_interval_lp0(instance, horizon)
     with measure("rounding_lp"):
-        res = solve_lp(lp, backend=backend, need_vertex=True)
-    if not res.is_optimal:  # pragma: no cover - LP(0) is always feasible
-        raise RuntimeError(f"LP(0) failed: {res.status}")
+        res = solve_lp(lp, need_vertex=True)
+    if not res.is_feasible("LP (5)-(8)"):
+        raise ValueError(
+            f"horizon {horizon} is too short: LP (5)-(8) is infeasible"
+        )
     lp0_optimum = float(res.objective)
 
     assignment = np.full(n, -1, dtype=np.int64)
@@ -96,7 +97,7 @@ def iterative_rounding(
         prev_unfixed = np.unique(flow).size
         lp = _build_lp_ell(instance, flow, rounds, value)
         with measure("rounding_lp"):
-            res = solve_lp(lp, backend=backend, need_vertex=True)
+            res = solve_lp(lp, need_vertex=True)
         iterations += 1
         if not res.is_optimal:  # pragma: no cover - relaxation invariant
             raise RuntimeError(f"LP(ell) failed: {res.status}")

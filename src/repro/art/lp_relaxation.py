@@ -144,9 +144,7 @@ def build_fractional_art_lp(
 
 
 def art_lp_lower_bound(
-    instance: Instance,
-    horizon: Optional[int] = None,
-    backend: str = "auto",
+    instance: Instance, horizon: Optional[int] = None
 ) -> float:
     """Optimal value of LP (1)–(4): a lower bound on total response time.
 
@@ -156,15 +154,19 @@ def art_lp_lower_bound(
 
     The build and the solve record the phases ``lp_bound_build`` and
     ``lp_bound_solve``, the names of the :mod:`repro.lp.bounds` oracle.
+    A ``horizon`` too short for LP (1)–(4) to be feasible raises
+    ``ValueError``; the default, ``instance.horizon_bound()``, never is.
     """
     if instance.num_flows == 0:
         return 0.0
     with measure("lp_bound_build"):
         lp = build_fractional_art_lp(instance, horizon)
     with measure("lp_bound_solve"):
-        result = solve_lp(lp, backend=backend)
-    if not result.is_optimal:  # pragma: no cover - LP is always feasible
-        raise RuntimeError(f"ART lower-bound LP failed: {result.status}")
+        result = solve_lp(lp)
+    if not result.is_feasible("LP (1)-(4)"):
+        raise ValueError(
+            f"horizon {horizon} is too short: LP (1)-(4) is infeasible"
+        )
     return float(result.objective)
 
 

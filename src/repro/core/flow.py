@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
+#: Sets a field of a frozen dataclass.
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, order=True)
 class Flow:
@@ -44,10 +47,12 @@ class Flow:
     fid: int = -1
 
     def __post_init__(self) -> None:
-        check_nonnegative_int(self.src, "src")
-        check_nonnegative_int(self.dst, "dst")
-        check_positive_int(self.demand, "demand")
-        check_nonnegative_int(self.release, "release")
+        # Keep the checked plain ints: a NumPy integer would reach the
+        # instance digest's JSON encoding, which rejects it.
+        _set(self, "src", check_nonnegative_int(self.src, "src"))
+        _set(self, "dst", check_nonnegative_int(self.dst, "dst"))
+        _set(self, "demand", check_positive_int(self.demand, "demand"))
+        _set(self, "release", check_nonnegative_int(self.release, "release"))
 
     @property
     def is_unit(self) -> bool:
@@ -55,8 +60,18 @@ class Flow:
         return self.demand == 1
 
     def with_fid(self, fid: int) -> "Flow":
-        """Return a copy with identifier ``fid`` (used during instance build)."""
-        return Flow(self.src, self.dst, self.demand, self.release, fid)
+        """Return a copy with identifier ``fid`` (used during instance build).
+
+        ``self``'s fields were checked when it was built, so the copy
+        skips ``__init__`` and its checks.
+        """
+        flow = object.__new__(Flow)
+        _set(flow, "src", self.src)
+        _set(flow, "dst", self.dst)
+        _set(flow, "demand", self.demand)
+        _set(flow, "release", self.release)
+        _set(flow, "fid", fid)
+        return flow
 
     def with_release(self, release: int) -> "Flow":
         """Return a copy released at round ``release`` (same fid)."""

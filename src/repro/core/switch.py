@@ -40,9 +40,13 @@ def _as_capacity_array(spec: CapacitySpec, count: int, name: str) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Switch:
     """An ``m x m'`` non-blocking switch with per-port capacities.
+
+    Two switches are equal when they have the same port counts and
+    capacity vectors, and equal switches hash alike, so instances built
+    on them compare and hash too.
 
     Attributes
     ----------
@@ -89,6 +93,30 @@ class Switch:
         # Freeze the arrays so the dataclass is effectively immutable.
         self.input_capacities.setflags(write=False)
         self.output_capacities.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            # Cells generated through the amortized batch path share one
+            # switch object, skipping the capacity comparisons.
+            return True
+        if not isinstance(other, Switch):
+            return NotImplemented
+        return (
+            self.num_inputs == other.num_inputs
+            and self.num_outputs == other.num_outputs
+            and np.array_equal(self.input_capacities, other.input_capacities)
+            and np.array_equal(self.output_capacities, other.output_capacities)
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.num_inputs,
+                self.num_outputs,
+                self.input_capacities.tobytes(),
+                self.output_capacities.tobytes(),
+            )
+        )
 
     @property
     def is_square(self) -> bool:

@@ -4,11 +4,13 @@
   matrix and row bounds in HiGHS's ``lo <= Ax <= hi`` form, plus each
   column's flow and round for the paper's LPs;
 * :mod:`repro.lp.simplex` — a self-contained two-phase primal simplex
-  (Bland's rule, dense tableau) that returns optimal *basic* solutions;
-* :mod:`repro.lp.solver` — backend dispatch between our simplex and
-  HiGHS, which gets the model's arrays directly with the options
-  ``scipy.optimize.linprog`` would set (``highs-ds`` when a vertex
-  solution is required, as in the iterative-rounding pipelines);
+  (Bland's rule, dense tableau) that returns optimal *basic* solutions,
+  the tests' independent reference for HiGHS;
+* :mod:`repro.lp.solver` — :func:`~repro.lp.solver.solve_lp`, which
+  hands the model's arrays to HiGHS with the options
+  ``scipy.optimize.linprog`` would set and picks the method itself:
+  dual simplex (``highs-ds``) when a vertex solution is required, as in
+  the iterative-rounding pipelines, HiGHS's own choice otherwise;
 * :mod:`repro.lp.bounds` — warm bound oracles for the sweep LPs: start
   the ρ search at a port-load counting bound, build the model at most
   once per instance (never when that bound meets the greedy cap), mutate

@@ -27,10 +27,8 @@ cheap:
   work.  :func:`cache_stats` / :func:`clear_bound_caches` expose and
   reset the memo.
 
-The solves themselves go through :func:`repro.lp.solver.solve_lp` with
-``backend="auto"``, which hands the model's arrays to HiGHS.  The
-hand-rolled dense tableau simplex runs only when a caller asks for
-``backend="simplex"``; ``"auto"`` never selects it.
+The solves themselves go through :func:`repro.lp.solver.solve_lp`,
+which hands the model's arrays to HiGHS; neither bound needs a vertex.
 
 Cross-*process* reuse (resumable sweeps) is layered on top by the
 content-addressed result store in :mod:`repro.api.store`.
@@ -132,8 +130,6 @@ class LPBoundOracle:
     ----------
     instance:
         The FS-MRT instance.
-    backend:
-        LP backend (see :func:`repro.lp.solver.solve_lp`).
     rho_cap:
         Largest ρ the oracle will be asked about.  Defaults to the greedy
         earliest-fit schedule's max response, which the greedy schedule
@@ -157,14 +153,8 @@ class LPBoundOracle:
     (0, 0)
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        backend: str = "auto",
-        rho_cap: Optional[int] = None,
-    ):
+    def __init__(self, instance: Instance, rho_cap: Optional[int] = None):
         self.instance = instance
-        self.backend = backend
         self.builds = 0
         self.solves = 0
         self._feasible: Dict[int, bool] = {}
@@ -226,7 +216,7 @@ class LPBoundOracle:
             self._build()
         self._lp.col_upper = np.where(self._offsets < rho, np.inf, 0.0)
         with measure("lp_bound_solve"):
-            result = solve_lp(self._lp, backend=self.backend, need_vertex=False)
+            result = solve_lp(self._lp)
         self.solves += 1
         feasible = result.is_feasible(f"LP (19)-(21) at rho {rho}")
         self._feasible[rho] = feasible
@@ -275,7 +265,6 @@ class LPBoundOracle:
 
 def mrt_lower_bound(
     instance: Instance,
-    backend: str = "auto",
     rho_upper: Optional[int] = None,
     use_cache: bool = True,
 ) -> int:
@@ -283,20 +272,19 @@ def mrt_lower_bound(
 
     Same value as :func:`repro.mrt.algorithm.fractional_mrt_lower_bound`;
     repeated calls for an identical instance in one process return the
-    memoised answer without touching the LP backend.  ``use_cache=False``
+    memoised answer without solving an LP.  ``use_cache=False``
     (the Runner's ``--no-cache`` semantics) recomputes but still
     refreshes the memo.  A ``rho_upper`` below ρ* raises ``ValueError``
     (see :meth:`LPBoundOracle.lower_bound`).
     """
     if instance.num_flows == 0:
         return 0
-    key = (instance.digest(), backend, rho_upper)
+    key = (instance.digest(), rho_upper)
     if use_cache:
         found, value = _lookup(_MRT_CACHE, key)
         if found:
             return value
-    oracle = LPBoundOracle(instance, backend=backend, rho_cap=rho_upper)
-    value = oracle.lower_bound()
+    value = LPBoundOracle(instance, rho_cap=rho_upper).lower_bound()
     _remember(_MRT_CACHE, key, value)
     return value
 
@@ -304,7 +292,6 @@ def mrt_lower_bound(
 def art_lower_bound(
     instance: Instance,
     horizon: Optional[int] = None,
-    backend: str = "auto",
     use_cache: bool = True,
 ) -> float:
     """Digest-memoised Figure 6 bound: the optimum of LP (1)–(4).
@@ -312,7 +299,7 @@ def art_lower_bound(
     A caching wrapper over
     :func:`repro.art.lp_relaxation.art_lp_lower_bound` (one
     implementation, so the values cannot diverge), with the result cached
-    per (digest, horizon, backend); a cold build and solve record the
+    per (digest, horizon); a cold build and solve record the
     phases ``lp_bound_build`` / ``lp_bound_solve``.
     ``use_cache=False`` recomputes but still refreshes the memo.
     """
@@ -320,12 +307,12 @@ def art_lower_bound(
 
     if instance.num_flows == 0:
         return 0.0
-    key = (instance.digest(), horizon, backend)
+    key = (instance.digest(), horizon)
     if use_cache:
         found, value = _lookup(_ART_CACHE, key)
         if found:
             return value
-    value = art_lp_lower_bound(instance, horizon=horizon, backend=backend)
+    value = art_lp_lower_bound(instance, horizon=horizon)
     _remember(_ART_CACHE, key, value)
     return value
 

@@ -32,7 +32,7 @@ class LPResult:
         Primal solution indexed like the model's variables (``None``
         unless OPTIMAL).
     is_vertex:
-        True when the backend guarantees a basic (vertex) solution —
+        True when the method guarantees a basic (vertex) solution —
         required by the iterative-rounding pipelines.
     backend:
         Which solver produced the result (``"simplex"``, ``"highs"``,

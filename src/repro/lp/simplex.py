@@ -1,8 +1,8 @@
 """Two-phase primal simplex on a dense tableau.
 
-A self-contained LP solver used (a) as the default backend for the small
-LPs in the test suite, and (b) as an independent cross-check of the SciPy
-HiGHS backend in property-based tests.  It solves
+A self-contained LP solver, used by the test suite (through
+:func:`repro.lp.solver._solve_simplex`) as an independent cross-check of
+the HiGHS solves :func:`repro.lp.solver.solve_lp` makes.  It solves
 
     min c'x   s.t.   Ax = b,  x >= 0
 
@@ -16,8 +16,8 @@ The returned solution is always *basic* — at most ``rank(A)`` nonzero
 variables — which is exactly what the iterative-rounding pipelines need
 (vertex solutions drive their counting arguments).
 
-Dense tableaus mean this backend is intended for models up to a few
-thousand variables; larger models should use the ``highs-ds`` backend.
+Dense tableaus mean it is intended for models up to a few thousand
+variables.
 """
 
 from __future__ import annotations

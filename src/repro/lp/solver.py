@@ -1,36 +1,32 @@
-"""Unified LP solve with backend dispatch.
+"""Unified LP solve: :func:`solve_lp` picks the HiGHS method.
 
-Backends
---------
-``"simplex"``
-    Our two-phase dense simplex (:mod:`repro.lp.simplex`).  Always
-    returns a vertex; intended for small models and cross-checking.
+Methods
+-------
 ``"highs-ds"``
-    HiGHS dual simplex.  Returns basic (vertex) solutions; this is the
-    default for the iterative-rounding pipelines (the paper used Gurobi —
-    any optimal basic solution is equivalent for the rounding arguments).
+    HiGHS dual simplex.  Returns basic (vertex) solutions; used whenever
+    the caller needs a vertex, as the iterative-rounding pipelines do
+    (the paper used Gurobi — any optimal basic solution is equivalent
+    for the rounding arguments).
 ``"highs"``
     HiGHS's automatic choice (may use interior point); fastest for pure
-    lower-bound computations where only the objective value matters.
-``"auto"``
-    ``highs-ds`` when a vertex is requested, else ``highs``.
+    lower-bound computations where only the objective value or a
+    feasibility verdict matters.
 
-Both HiGHS backends call the HiGHS build that SciPy ships
-(``scipy.optimize._highspy``, SciPy >= 1.15) directly on the model's
-arrays, with the options ``scipy.optimize.linprog`` sets for
-``method="highs"`` / ``"highs-ds"``, and keep ``linprog``'s post-solve
-check of the returned point.  Given the arrays ``linprog`` would pass,
-HiGHS returns the same vertex, bit for bit, without ``linprog``'s
-per-column Python work.
+:func:`solve_lp` runs ``highs-ds`` when called with ``need_vertex=True``
+and ``highs`` otherwise; no caller names a method.  Both call the HiGHS
+build that SciPy ships (``scipy.optimize._highspy``, SciPy >= 1.15)
+directly on the model's arrays, with the options
+``scipy.optimize.linprog`` sets for ``method="highs"`` / ``"highs-ds"``,
+and keep ``linprog``'s post-solve check of the returned point.  Given
+the arrays ``linprog`` would pass, HiGHS returns the same vertex, bit
+for bit, without ``linprog``'s per-column Python work.
+:attr:`LPResult.backend <repro.lp.result.LPResult.backend>` records the
+method that answered.
 
-Backend selection
------------------
-Pick ``"simplex"`` only for small models (dense tableau, vertex
-guaranteed, used to cross-check HiGHS in property tests); ``"highs-ds"``
-whenever the caller needs a *basic* solution (iterative rounding);
-``"highs"`` for pure objective/feasibility queries, where HiGHS may use
-the interior-point method.  ``"auto"`` applies exactly that rule from
-the ``need_vertex`` flag.
+:func:`_solve_simplex` runs our dense two-phase simplex
+(:mod:`repro.lp.simplex`, ``backend="simplex"`` in its results) on small
+models.  The tests call it directly as an independent reference for
+HiGHS; no program path does.
 
 Repeated nearby solves — the ρ binary search of Figure 7, or repeated
 bound queries for one instance — should not call :func:`solve_lp` with a
@@ -38,8 +34,7 @@ freshly built model each time.  Use the oracle path instead:
 :class:`repro.lp.bounds.LPBoundOracle` builds the time-constrained LP
 once and re-solves it under mutated ρ-dependent bounds, and the
 module-level helpers in :mod:`repro.lp.bounds` memoise finished bounds
-by canonical instance digest.  Every oracle query still lands here, so
-the backend semantics above apply unchanged.
+by canonical instance digest.  Every oracle query still lands here.
 """
 
 from __future__ import annotations
@@ -58,7 +53,7 @@ except ImportError as exc:  # pragma: no cover - depends on the install
         "which needs SciPy >= 1.15"
     ) from exc
 
-_DENSE_SIMPLEX_LIMIT = 4000  # max variables for the dense backend
+_DENSE_SIMPLEX_LIMIT = 4000  # max variables for the dense simplex
 
 _HIGHS_STATUS = {
     _highs.HighsModelStatus.kOptimal: LPStatus.OPTIMAL,
@@ -90,22 +85,17 @@ _OPTIONS = {
 }
 
 
-def solve_lp(
-    lp: LinearProgram,
-    backend: str = "auto",
-    need_vertex: bool = False,
-) -> LPResult:
+def solve_lp(lp: LinearProgram, need_vertex: bool = False) -> LPResult:
     """Solve a :class:`LinearProgram` (minimization).
 
     Parameters
     ----------
     lp:
         The model to solve.
-    backend:
-        ``"auto"``, ``"simplex"``, ``"highs"``, or ``"highs-ds"``.
     need_vertex:
-        Require a basic solution (iterative rounding).  With
-        ``backend="auto"`` this selects ``highs-ds``.
+        Require a basic solution (iterative rounding): HiGHS dual
+        simplex (``highs-ds``).  Otherwise HiGHS picks its own method
+        (``highs``).
 
     Returns
     -------
@@ -113,17 +103,12 @@ def solve_lp(
         A model without columns is OPTIMAL (objective 0) when every row
         admits the activity 0, and INFEASIBLE otherwise.
     """
-    if backend == "auto":
-        backend = "highs-ds" if need_vertex else "highs"
-    if backend not in ("simplex", "highs", "highs-ds"):
-        raise ValueError(f"unknown backend {backend!r}")
+    method = "highs-ds" if need_vertex else "highs"
     if lp.num_vars == 0:
         if ((lp.row_lower <= 0.0) & (lp.row_upper >= 0.0)).all():
-            return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(0), True, backend)
-        return LPResult(LPStatus.INFEASIBLE, backend=backend)
-    if backend == "simplex":
-        return _solve_simplex(lp)
-    return _solve_highs(lp, backend)
+            return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(0), True, method)
+        return LPResult(LPStatus.INFEASIBLE, backend=method)
+    return _solve_highs(lp, method)
 
 
 def _dense_standard_form(lp: LinearProgram):
@@ -160,11 +145,11 @@ def _dense_standard_form(lp: LinearProgram):
 
 
 def _solve_simplex(lp: LinearProgram) -> LPResult:
-    """Dense two-phase simplex backend."""
+    """Dense two-phase simplex: the tests' independent reference for HiGHS."""
     if lp.num_vars > _DENSE_SIMPLEX_LIMIT:
         raise ValueError(
-            f"simplex backend limited to {_DENSE_SIMPLEX_LIMIT} variables "
-            f"(model has {lp.num_vars}); use highs-ds"
+            f"dense simplex limited to {_DENSE_SIMPLEX_LIMIT} variables "
+            f"(model has {lp.num_vars})"
         )
     A, b, c = _dense_standard_form(lp)
     res = simplex_solve(A, b, c)
@@ -180,8 +165,8 @@ def _solve_simplex(lp: LinearProgram) -> LPResult:
     )
 
 
-def _solve_highs(lp: LinearProgram, backend: str) -> LPResult:
-    """HiGHS on the model's arrays, as ``linprog(method=backend)`` runs it."""
+def _solve_highs(lp: LinearProgram, method: str) -> LPResult:
+    """HiGHS on the model's arrays, as ``linprog(method=method)`` runs it."""
     model = _highs.HighsLp()
     model.num_col_ = lp.num_vars
     model.num_row_ = lp.num_rows
@@ -201,25 +186,25 @@ def _solve_highs(lp: LinearProgram, backend: str) -> LPResult:
     model.row_upper_ = lp.row_upper
 
     highs = _highs._Highs()
-    highs.passOptions(_OPTIONS[backend])
+    highs.passOptions(_OPTIONS[method])
     if highs.passModel(model) == _highs.HighsStatus.kError:
         # linprog reports a rejected model as kModelError: infeasible.
-        return LPResult(LPStatus.INFEASIBLE, backend=backend)
+        return LPResult(LPStatus.INFEASIBLE, backend=method)
     highs.run()
     status = _HIGHS_STATUS.get(highs.getModelStatus(), LPStatus.ERROR)
     if status is not LPStatus.OPTIMAL:
-        return LPResult(status, backend=backend)
+        return LPResult(status, backend=method)
     solution = highs.getSolution()
     x = np.array(solution.col_value, dtype=np.float64)
     objective = highs.getInfo().objective_function_value
     if not _within_bounds(lp, x, objective, np.asarray(solution.row_value)):
-        return LPResult(LPStatus.ERROR, backend=backend)
+        return LPResult(LPStatus.ERROR, backend=method)
     return LPResult(
         LPStatus.OPTIMAL,
         objective=float(objective),
         x=x,
-        is_vertex=(backend == "highs-ds"),
-        backend=backend,
+        is_vertex=(method == "highs-ds"),
+        backend=method,
     )
 
 

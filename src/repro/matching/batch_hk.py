@@ -247,9 +247,10 @@ def _dfs_augment(
     edge_left: np.ndarray,
     dist: list,
 ) -> bool:
-    """One augmenting walk — the solo kernel's iterative DFS verbatim,
-    over the stacked CSR (match arrays stay NumPy: walks are short and
-    rare, so scalar access is off the hot path)."""
+    """One augmenting walk — the solo kernel's iterative DFS, walking the
+    stacked CSR by cursor instead of per-vertex rows (match arrays stay
+    NumPy: walks are short and rare, so scalar access is off the hot
+    path)."""
     stack = [[root, indptr[root]]]
     path = []  # (u, v, slot) tentative augments
     while stack:

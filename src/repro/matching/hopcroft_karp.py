@@ -6,29 +6,31 @@ engine behind the paper's **MaxCard** online heuristic ("at every step a
 matching of maximum cardinality is extracted from G_t") and the matching
 extraction inside König edge coloring.
 
-The implementation works on flat integer arrays — CSR adjacency, integer
-BFS layers, explicit DFS stacks — with no per-call adjacency dicts and no
-float distances.  Two entry points share the same core:
-:func:`max_cardinality_matching` consumes a :class:`BipartiteMultigraph`
-(reusing its cached CSR), and :func:`max_cardinality_matching_arrays`
-consumes bare endpoint arrays (the online simulator's incremental pair
-view, skipping graph construction entirely).  Parallel edges are harmless
-(at most one copy can ever be matched; the kernel deterministically
-matches the lowest-id copy of a pair, because adjacency lists are scanned
-in edge-insertion order).
+One kernel does the work, on one adjacency row per left vertex (its
+right neighbors, with an aligned payload per entry), integer BFS layers
+and explicit DFS stacks — no per-call adjacency dicts, no float
+distances.  Three entry points feed it:
+:func:`max_cardinality_matching_adjacency` takes the rows as given (the
+online simulator keeps them across rounds);
+:func:`max_cardinality_matching` (a :class:`BipartiteMultigraph`, through
+its cached CSR) and :func:`max_cardinality_matching_arrays` (bare endpoint
+arrays) cut their CSR into rows whose payloads are edge ids.  Parallel
+edges are harmless (at most one copy can ever be matched; the kernel
+deterministically matches the lowest-id copy of a pair, because rows are
+scanned in edge-insertion order).
 
-A previous matching can be passed as a **warm start**: the kernel seeds
-its match arrays from the surviving entries and repairs the matching with
-augmenting phases instead of starting empty.  When the warm start is
-already near-maximum this collapses the phase count to O(1) — the lever
-the incremental online simulator pulls, where G_t changes by a few edges
-per round.
+A previous matching can be passed as a **warm start**: each entry point
+turns its own warm-start format into seeds, the kernel claims them and
+repairs the matching with augmenting phases instead of starting empty.
+When the warm start is already near-maximum this collapses the phase
+count to O(1) — the lever the incremental online simulator pulls, where
+G_t changes by a few edges per round.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,17 +80,10 @@ def max_cardinality_matching(
     """
     if graph.n_edges == 0 or graph.n_left == 0:
         return {}
-    indptr_arr, adj_arr = graph.csr_left()
-    return _hk_core(
-        graph.n_left,
-        graph.n_right,
-        indptr_arr.tolist(),
-        adj_arr.tolist(),
-        graph.dst[adj_arr].tolist(),
-        graph.src,
-        graph.dst,
-        warm_start,
-        stats,
+    indptr, adj = graph.csr_left()
+    return _match_csr(
+        graph.n_left, graph.n_right, indptr, adj, graph.src, graph.dst,
+        warm_start, stats,
     )
 
 
@@ -118,17 +113,42 @@ def max_cardinality_matching_arrays(
     indptr = np.zeros(n_left + 1, dtype=np.int64)
     np.cumsum(np.bincount(us, minlength=n_left), out=indptr[1:])
     adj = np.argsort(us, kind="stable")
-    return _hk_core(
-        n_left,
-        n_right,
-        indptr.tolist(),
-        adj.tolist(),
-        vs[adj].tolist(),
-        us,
-        vs,
-        warm_start,
-        stats,
-    )
+    return _match_csr(n_left, n_right, indptr, adj, us, vs, warm_start, stats)
+
+
+def _match_csr(
+    n_left: int,
+    n_right: int,
+    indptr: np.ndarray,
+    adj: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    warm_start: Optional[Dict[int, int]],
+    stats: Optional[Dict[str, int]],
+) -> Dict[int, int]:
+    """The kernel over CSR adjacency, with edge ids as payloads.
+
+    ``adj[indptr[u]:indptr[u+1]]`` are left vertex ``u``'s edge ids in
+    insertion order; ``src``/``dst`` are every edge's endpoints.  Each
+    row is cut from plain Python lists (elementwise indexing there is
+    3-4x faster than NumPy scalar access).  An edge-level warm-start
+    entry ``u: eid`` seeds ``(u, dst[eid], eid)`` when ``eid`` is an edge
+    of ``u``.
+    """
+    bounds = indptr.tolist()
+    ends = dst[adj].tolist()
+    eids = adj.tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    adj_rows = [ends[a:b] for a, b in spans]
+    payload_rows = [eids[a:b] for a, b in spans]
+    seeds = []
+    if warm_start:
+        n_edges = len(eids)
+        for u in sorted(warm_start):
+            eid = warm_start[u]
+            if 0 <= u < n_left and 0 <= eid < n_edges and src[eid] == u:
+                seeds.append((u, int(dst[eid]), eid))
+    return _hk_rows(n_left, n_right, adj_rows, payload_rows, seeds, stats)
 
 
 def max_cardinality_matching_adjacency(
@@ -158,10 +178,7 @@ def max_cardinality_matching_adjacency(
     dict
         ``{left_vertex: payload}`` for every matched left vertex.
     """
-    match_left: List[int] = [-1] * n_left
-    match_right: List[int] = [-1] * n_right
-    pay_left: List[int] = [-1] * n_left
-
+    seeds = []
     if warm_start:
         for u in sorted(warm_start):
             if not 0 <= u < n_left:
@@ -172,11 +189,35 @@ def max_cardinality_matching_adjacency(
                 idx = row.index(v)
             except ValueError:
                 continue
-            if match_left[u] != -1 or match_right[v] != -1:
-                continue
-            match_left[u] = v
-            match_right[v] = u
-            pay_left[u] = payload_rows[u][idx]
+            seeds.append((u, v, payload_rows[u][idx]))
+    return _hk_rows(n_left, n_right, adj_rows, payload_rows, seeds, stats)
+
+
+def _hk_rows(
+    n_left: int,
+    n_right: int,
+    adj_rows: List[List[int]],
+    payload_rows: List[List[int]],
+    seeds: List[Tuple[int, int, int]],
+    stats: Optional[Dict[str, int]],
+) -> Dict[int, int]:
+    """The Hopcroft–Karp kernel over per-left-vertex rows.
+
+    ``seeds`` are ``(u, v, payload)`` warm-start edges in ascending
+    ``u``; a seed whose left or right vertex is already claimed is
+    skipped, so the first claim on a right vertex wins.  Returns
+    ``{left_vertex: payload}`` for every matched left vertex.
+    """
+    match_left: List[int] = [-1] * n_left
+    match_right: List[int] = [-1] * n_right
+    pay_left: List[int] = [-1] * n_left
+
+    for u, v, payload in seeds:
+        if match_left[u] != -1 or match_right[v] != -1:
+            continue
+        match_left[u] = v
+        match_right[v] = u
+        pay_left[u] = payload
     # Greedy first-fit extension.  From an empty matching this is exactly
     # Hopcroft–Karp's first phase (all layers zero), so cold solves skip
     # one BFS pass without changing the result; after a warm seed it fills
@@ -259,145 +300,6 @@ def max_cardinality_matching_adjacency(
                     stats["augmentations"] = stats.get("augmentations", 0) + 1
 
     return {u: pay_left[u] for u in range(n_left) if match_left[u] != -1}
-
-
-def _hk_core(
-    nL: int,
-    nR: int,
-    indptr: List[int],
-    adj: List[int],
-    adj_v: List[int],
-    src,
-    dst,
-    warm_start: Optional[Dict[int, int]],
-    stats: Optional[Dict[str, int]],
-) -> Dict[int, int]:
-    """Shared BFS/DFS phase loop over CSR lists (plain Python ints:
-    elementwise indexing here is 3-4x faster than NumPy scalar access).
-
-    ``adj``/``adj_v`` are the CSR-ordered edge ids and their right
-    endpoints; ``src``/``dst`` (any indexable) are touched only to
-    validate a warm start.
-    """
-    n_edges = len(adj)
-    match_left: List[int] = [-1] * nL          # matched right vertex per left
-    match_right: List[int] = [-1] * nR
-    edge_left: List[int] = [-1] * nL           # matched edge id per left
-
-    if warm_start:
-        for u in sorted(warm_start):
-            eid = warm_start[u]
-            if not 0 <= u < nL or not 0 <= eid < n_edges:
-                continue
-            if src[eid] != u:
-                continue
-            v = int(dst[eid])
-            if match_left[u] != -1 or match_right[v] != -1:
-                continue
-            match_left[u] = v
-            match_right[v] = u
-            edge_left[u] = eid
-    # Greedy first-fit extension.  From an empty matching, Hopcroft–Karp's
-    # first phase (all layers zero) degenerates to exactly this scan —
-    # each free left vertex takes its first free neighbor — so cold solves
-    # skip one full BFS pass without changing the result; after a warm
-    # seed it fills the uncovered left vertices before the repair phases.
-    for u in range(nL):
-        if match_left[u] != -1:
-            continue
-        for i in range(indptr[u], indptr[u + 1]):
-            v = adj_v[i]
-            if match_right[v] == -1:
-                match_left[u] = v
-                match_right[v] = u
-                edge_left[u] = adj[i]
-                break
-
-    dist: List[int] = [0] * nL
-
-    def bfs() -> bool:
-        """Layer the graph from free left vertices; True if an augmenting
-        path exists."""
-        if stats is not None:
-            stats["bfs_phases"] = stats.get("bfs_phases", 0) + 1
-        queue: deque[int] = deque()
-        for u in range(nL):
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for i in range(indptr[u], indptr[u + 1]):
-                w = match_right[adj_v[i]]
-                if w == -1:
-                    found = True
-                elif dist[w] == _INF:
-                    dist[w] = du + 1
-                    queue.append(w)
-        return found
-
-    # DFS is implemented with an explicit stack so deep augmenting paths on
-    # large graphs cannot hit Python's recursion limit.
-    while bfs():
-        for u in range(nL):
-            if match_left[u] == -1:
-                if _dfs_iterative(
-                    u, indptr, adj, adj_v, match_left, match_right,
-                    edge_left, dist,
-                ) and stats is not None:
-                    stats["augmentations"] = stats.get("augmentations", 0) + 1
-
-    return {u: edge_left[u] for u in range(nL) if match_left[u] != -1}
-
-
-def _dfs_iterative(
-    root: int,
-    indptr: List[int],
-    adj: List[int],
-    adj_v: List[int],
-    match_left: List[int],
-    match_right: List[int],
-    edge_left: List[int],
-    dist: List[int],
-) -> bool:
-    """Stack-based variant of the layered DFS (avoids recursion limits)."""
-    # Each stack frame: (vertex, CSR cursor into adj)
-    stack: List[List[int]] = [[root, indptr[root]]]
-    path: List[tuple[int, int, int]] = []  # (u, v, eid) tentative augments
-    while stack:
-        frame = stack[-1]
-        u, idx = frame
-        end = indptr[u + 1]
-        advanced = False
-        while idx < end:
-            v = adj_v[idx]
-            eid = adj[idx]
-            idx += 1
-            frame[1] = idx
-            w = match_right[v]
-            if w == -1:
-                # Augment along the discovered path plus this final edge.
-                path.append((u, v, eid))
-                for pu, pv, peid in path:
-                    match_left[pu] = pv
-                    match_right[pv] = pu
-                    edge_left[pu] = peid
-                return True
-            if dist[w] == dist[u] + 1:
-                path.append((u, v, eid))
-                stack.append([w, indptr[w]])
-                advanced = True
-                break
-        if not advanced:
-            dist[u] = _INF
-            stack.pop()
-            if path:
-                path.pop()
-    return False
 
 
 def matching_edge_ids(graph: BipartiteMultigraph) -> List[int]:

@@ -51,9 +51,7 @@ class MRTResult:
 
 
 def solve_mrt(
-    instance: Instance,
-    backend: str = "auto",
-    rho_upper: Optional[int] = None,
+    instance: Instance, rho_upper: Optional[int] = None
 ) -> MRTResult:
     """Solve FS-MRT per Theorem 3.
 
@@ -61,8 +59,6 @@ def solve_mrt(
     ----------
     instance:
         The FS-MRT instance.
-    backend:
-        LP backend (see :func:`repro.lp.solver.solve_lp`).
     rho_upper:
         Optional upper bound on ρ; defaults to the greedy earliest-fit
         schedule's max response, which certifies itself.  A caller's
@@ -81,13 +77,11 @@ def solve_mrt(
     # The oracle starts the search at the port-load floor and builds
     # LP (19)-(21) only if a probe needs a solve; each probe only toggles
     # the rho-dependent variable bounds of that one model.
-    oracle = LPBoundOracle(instance, backend=backend, rho_cap=rho_upper)
+    oracle = LPBoundOracle(instance, rho_cap=rho_upper)
     rho = oracle.lower_bound()
     lp_solves = oracle.solves
 
-    rounding = round_time_constrained(
-        from_response_bound(instance, rho), backend=backend
-    )
+    rounding = round_time_constrained(from_response_bound(instance, rho))
     lp_solves += rounding.iterations
     if not rounding.feasible or rounding.schedule is None:  # pragma: no cover
         # The oracle certified LP (19)-(21) feasible at rho, so the
@@ -103,9 +97,7 @@ def solve_mrt(
     )
 
 
-def schedule_time_constrained(
-    tci: TimeConstrainedInstance, backend: str = "auto"
-) -> RoundingResult:
+def schedule_time_constrained(tci: TimeConstrainedInstance) -> RoundingResult:
     """Solve the general Time-Constrained problem (includes deadlines).
 
     Either determines that no schedule exists (LP infeasible ⇒ the
@@ -113,13 +105,11 @@ def schedule_time_constrained(
     whose port loads exceed capacities by at most ``2·d_max − 1``
     (Theorem 3 verbatim, including the Remark 4.2 deadline model).
     """
-    return round_time_constrained(tci, backend=backend)
+    return round_time_constrained(tci)
 
 
 def fractional_mrt_lower_bound(
-    instance: Instance,
-    backend: str = "auto",
-    rho_upper: Optional[int] = None,
+    instance: Instance, rho_upper: Optional[int] = None
 ) -> int:
     """Just the binary-searched LP lower bound ρ* (Figure 7 baseline).
 
@@ -132,5 +122,4 @@ def fractional_mrt_lower_bound(
     """
     if instance.num_flows == 0:
         return 0
-    oracle = LPBoundOracle(instance, backend=backend, rho_cap=rho_upper)
-    return oracle.lower_bound()
+    return LPBoundOracle(instance, rho_cap=rho_upper).lower_bound()

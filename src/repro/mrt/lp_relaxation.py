@@ -74,22 +74,16 @@ def build_time_constrained_lp(tci: TimeConstrainedInstance) -> LinearProgram:
 
 
 def solve_fractional(
-    tci: TimeConstrainedInstance,
-    backend: str = "auto",
-    need_vertex: bool = True,
+    tci: TimeConstrainedInstance, need_vertex: bool = True
 ) -> LPResult:
     """Solve LP (19)–(21); OPTIMAL means fractionally schedulable."""
-    lp = build_time_constrained_lp(tci)
-    return solve_lp(lp, backend=backend, need_vertex=need_vertex)
+    return solve_lp(build_time_constrained_lp(tci), need_vertex=need_vertex)
 
 
-def is_fractionally_feasible(
-    tci: TimeConstrainedInstance, backend: str = "auto"
-) -> bool:
+def is_fractionally_feasible(tci: TimeConstrainedInstance) -> bool:
     """Feasibility predicate used by the ρ binary search.
 
     Only an INFEASIBLE solve means "not schedulable"; a solve that ends
     any other way without an optimum raises ``RuntimeError``.
     """
-    result = solve_fractional(tci, backend=backend, need_vertex=False)
-    return result.is_feasible("LP (19)-(21)")
+    return solve_fractional(tci, need_vertex=False).is_feasible("LP (19)-(21)")

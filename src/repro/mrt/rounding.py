@@ -100,10 +100,7 @@ def _capacity_rows(inst: Instance, flow: np.ndarray, rounds: np.ndarray):
     return row[:, 0], row[:, 1], capacity
 
 
-def round_time_constrained(
-    tci: TimeConstrainedInstance,
-    backend: str = "auto",
-) -> RoundingResult:
+def round_time_constrained(tci: TimeConstrainedInstance) -> RoundingResult:
     """Round LP (19)–(21) to an integral schedule per Theorem 3.
 
     Each residual-LP solve records a ``rounding_lp`` phase.
@@ -187,7 +184,7 @@ def round_time_constrained(
         )
 
         with measure("rounding_lp"):
-            result = solve_lp(lp, backend=backend, need_vertex=True)
+            result = solve_lp(lp, need_vertex=True)
         iterations += 1
         if iterations == 1 and not result.is_feasible("LP (19)-(21)"):
             return RoundingResult(None, False, iterations=iterations)

@@ -61,7 +61,6 @@ class AMRTResult:
 def run_amrt(
     instance: Instance,
     initial_rho: int = 1,
-    backend: str = "auto",
     max_rho: int | None = None,
 ) -> AMRTResult:
     """Run the AMRT online batching algorithm over ``instance``.
@@ -81,8 +80,6 @@ def run_amrt(
         The workload (flows revealed at their release rounds).
     initial_rho:
         Starting guess (paper: starts small and increments by one).
-    backend:
-        LP backend for the offline subroutine.
     max_rho:
         Safety cap on the guess (default ``horizon_bound()``).
 
@@ -136,7 +133,7 @@ def run_amrt(
         if pending:
             with measure("amrt_batch"):
                 batch_sched = _try_schedule_batch(
-                    instance, pending, boundary, rho, backend
+                    instance, pending, boundary, rho
                 )
             if batch_sched is not None:
                 for fid, round_ in batch_sched.items():
@@ -163,10 +160,7 @@ def run_amrt(
 
 
 def _schedule_batch_instance(
-    sub: Instance,
-    start: int,
-    rho: int,
-    backend: str,
+    sub: Instance, start: int, rho: int
 ) -> "np.ndarray | None":
     """Offline subroutine of Lemma 5.3, shared by both entry points.
 
@@ -183,7 +177,7 @@ def _schedule_batch_instance(
         tuple(range(f.release, f.release + rho)) for f in sub.flows
     )
     tci = TimeConstrainedInstance(sub, active)
-    result = round_time_constrained(tci, backend=backend)
+    result = round_time_constrained(tci)
     if not result.feasible or result.schedule is None:
         return None
     # Uniform shift preserves per-round loads; the earliest release in
@@ -194,15 +188,11 @@ def _schedule_batch_instance(
 
 
 def _try_schedule_batch(
-    instance: Instance,
-    fids: List[int],
-    start: int,
-    rho: int,
-    backend: str,
+    instance: Instance, fids: List[int], start: int, rho: int
 ) -> Dict[int, int] | None:
     """:func:`_schedule_batch_instance` keyed back to ``instance`` fids."""
     sub = instance.restricted_to(fids)
-    rounds = _schedule_batch_instance(sub, start, rho, backend)
+    rounds = _schedule_batch_instance(sub, start, rho)
     if rounds is None:
         return None
     return {fids[i]: int(rounds[i]) for i in range(sub.num_flows)}
@@ -237,7 +227,6 @@ def run_amrt_stream(
     stream,
     arrival_rounds: int | None = None,
     initial_rho: int = 1,
-    backend: str = "auto",
     max_rho: int | None = None,
 ) -> AMRTStreamResult:
     """Run AMRT over an arrival stream (Lemma 5.3, unbounded horizons).
@@ -260,7 +249,7 @@ def run_amrt_stream(
     arrival_rounds:
         Arrival rounds to consume (defaults to the stream's own bound;
         required for unbounded streams).
-    initial_rho / backend / max_rho:
+    initial_rho / max_rho:
         As in :func:`run_amrt`; ``max_rho`` defaults to a dynamic cap of
         ``arrival_rounds + arrivals-so-far + 1`` (the streaming
         analogue of ``horizon_bound()``).
@@ -345,7 +334,7 @@ def run_amrt_stream(
             sub = Instance.create(switch, pending)
             with measure("amrt_batch"):
                 rounds_assigned = _schedule_batch_instance(
-                    sub, boundary, rho, backend
+                    sub, boundary, rho
                 )
             if rounds_assigned is not None:
                 releases = sub.releases()

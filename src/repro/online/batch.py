@@ -146,19 +146,6 @@ class _BatchView:
         return self._releases
 
 
-def _same_switch(a: Switch, b: Switch) -> bool:
-    if a is b:
-        # Cells generated through the amortized batch path share one
-        # switch object, skipping the per-trial capacity comparisons.
-        return True
-    return (
-        a.num_inputs == b.num_inputs
-        and a.num_outputs == b.num_outputs
-        and np.array_equal(a.input_capacities, b.input_capacities)
-        and np.array_equal(a.output_capacities, b.output_capacities)
-    )
-
-
 def batch_kernel_name(
     instances: Sequence[Instance], policies: Sequence[OnlinePolicy]
 ) -> Optional[str]:
@@ -177,7 +164,7 @@ def batch_kernel_name(
     if any(type(p) is not cls for p in policies):
         return None
     switch = instances[0].switch
-    if any(not _same_switch(inst.switch, switch) for inst in instances[1:]):
+    if any(inst.switch != switch for inst in instances[1:]):
         return None
     if cls is FifoPolicy:
         return "fifo"

@@ -149,24 +149,24 @@ _SCIPY_STATUS = {
 }
 
 
-def linprog_solve(lp: NamedLP, backend: str = "auto", need_vertex=False):
-    """Solve ``lp`` with ``scipy.optimize.linprog`` (an :class:`LPResult`)."""
-    if backend == "auto":
-        backend = "highs-ds" if need_vertex else "highs"
+def linprog_solve(lp: NamedLP, need_vertex=False):
+    """Solve ``lp`` with ``scipy.optimize.linprog`` (an :class:`LPResult`),
+    by the method :func:`repro.lp.solver.solve_lp` picks."""
+    method = "highs-ds" if need_vertex else "highs"
     c, a_ub, b_ub, a_eq, b_eq, bounds = lp.linprog_args()
     res = optimize.linprog(
         c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method=backend,
+        method=method,
     )
     status = _SCIPY_STATUS.get(res.status, LPStatus.ERROR)
     if status is not LPStatus.OPTIMAL:
-        return LPResult(status, backend=backend)
+        return LPResult(status, backend=method)
     return LPResult(
         LPStatus.OPTIMAL,
         objective=float(res.fun),
         x=np.asarray(res.x, dtype=np.float64),
-        is_vertex=(backend == "highs-ds"),
-        backend=backend,
+        is_vertex=need_vertex,
+        backend=method,
     )
 
 
@@ -332,7 +332,7 @@ def build_time_constrained_lp(tci: TimeConstrainedInstance) -> NamedLP:
 
 
 def round_time_constrained(
-    tci: TimeConstrainedInstance, backend: str = "auto", solve=linprog_solve
+    tci: TimeConstrainedInstance, solve=linprog_solve
 ) -> RoundingResult:
     """The FS-MRT rounding loop (Theorem 3) over dict state."""
     inst = tci.instance
@@ -402,7 +402,7 @@ def round_time_constrained(
             }
             if coeffs:
                 lp.add_constraint(key, coeffs, Sense.LE, residual[key])
-        result = solve(lp, backend=backend, need_vertex=True)
+        result = solve(lp, need_vertex=True)
         iterations += 1
         if not result.is_optimal:
             if iterations == 1 and result.status is LPStatus.INFEASIBLE:
@@ -448,7 +448,6 @@ def round_time_constrained(
 def iterative_rounding(
     instance: Instance,
     horizon: Optional[int] = None,
-    backend: str = "auto",
     solve=linprog_solve,
 ) -> PseudoSchedule:
     """The FS-ART iterative rounding (Lemma 3.3) over dict supports."""
@@ -457,7 +456,7 @@ def iterative_rounding(
         return PseudoSchedule(instance, np.zeros(0, dtype=np.int64))
     max_iterations = 2 * int(math.log2(n) + 1) + 20
     lp0 = build_interval_lp0(instance, horizon)
-    res = solve(lp0, backend=backend, need_vertex=True)
+    res = solve(lp0, need_vertex=True)
     assert res.is_optimal, res.status
     lp0_optimum = float(res.objective)
     support: Dict[int, Dict[int, float]] = {}
@@ -481,7 +480,7 @@ def iterative_rounding(
     while support and iterations < max_iterations:
         prev_unfixed = len(support)
         lp = build_lp_ell(instance, support)
-        res = solve(lp, backend=backend, need_vertex=True)
+        res = solve(lp, need_vertex=True)
         iterations += 1
         assert res.is_optimal, res.status
         support = {}

@@ -25,6 +25,18 @@ class TestSolveART:
         assert res.total_response >= 1
         assert res.lower_bound <= res.total_response
 
+    def test_horizon_too_short_is_value_error(self):
+        # Five flows through one unit port need five rounds; horizon 3
+        # leaves LP (5)-(8) (4 per block) infeasible.
+        inst = Instance.create(Switch.create(1), [Flow(0, 0)] * 5)
+        with pytest.raises(
+            ValueError,
+            match=r"horizon 3 is too short: LP \(5\)-\(8\) is infeasible",
+        ):
+            solve_art(inst, horizon=3)
+        res = solve_art(inst, horizon=5)
+        assert 0 < res.lower_bound <= res.total_response
+
     def test_lower_bound_skippable(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 1)])
         res = solve_art(inst, c=1, compute_lower_bound=False)

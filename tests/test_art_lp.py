@@ -128,7 +128,8 @@ def with_horizon(draw, instances):
 
 def check_block_columns_keep_optimum(inst, horizon):
     """LP(0) is the all-rounds LP (5)-(8) minus some columns, with the
-    same optimum; the all-rounds optimum puts no mass on those columns."""
+    same status and optimum; the all-rounds optimum puts no mass on those
+    columns.  A horizon too short for the flows leaves both infeasible."""
     if inst.num_flows == 0:
         return
     lp = build_interval_lp0(inst, horizon)
@@ -139,8 +140,11 @@ def check_block_columns_keep_optimum(inst, horizon):
     assert np.array_equal(lp.cost, full.cost[kept])
     assert np.array_equal(lp.dense_matrix(), full.dense_matrix()[:, kept])
     full_result = solve_lp(full)
-    value = solve_lp(lp).objective
-    assert value == pytest.approx(full_result.objective, rel=1e-9)
+    result = solve_lp(lp)
+    assert result.status is full_result.status
+    if not full_result.is_optimal:
+        return
+    assert result.objective == pytest.approx(full_result.objective, rel=1e-9)
     dropped = np.ones(full.num_vars, dtype=bool)
     dropped[kept] = False
     mass = full_result.x.sum()
@@ -246,6 +250,15 @@ class TestLPConstruction:
 class TestLowerBound:
     def test_empty_instance(self):
         assert art_lp_lower_bound(Instance.create(Switch.create(1), [])) == 0.0
+
+    def test_horizon_too_short_is_value_error(self):
+        inst = Instance.create(Switch.create(1), [Flow(0, 0)] * 5)
+        with pytest.raises(
+            ValueError,
+            match=r"horizon 4 is too short: LP \(1\)-\(4\) is infeasible",
+        ):
+            art_lp_lower_bound(inst, horizon=4)
+        assert art_lp_lower_bound(inst, horizon=5) > 0
 
     def test_parallel_flows_bound_is_n(self):
         # n conflict-free unit flows: every response is exactly 1 and the

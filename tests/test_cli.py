@@ -149,6 +149,13 @@ class TestCommands:
     def test_solve_bad_param_name_exits_cleanly(self, trace):
         with pytest.raises(SystemExit, match="bogus"):
             main(["solve", str(trace), "--solver", "Greedy", "-p", "bogus=1"])
+        # The LP solve picks its own method: no solver takes a backend.
+        for solver in ("FS-ART", "FS-MRT", "TimeConstrained", "AMRT"):
+            with pytest.raises(
+                SystemExit, match="unexpected keyword argument 'backend'"
+            ):
+                main(["solve", str(trace), "--solver", solver,
+                      "-p", "backend=auto"])
 
     def test_solve_mrt_cap_below_rho_star_exits_cleanly(self, tmp_path):
         path = tmp_path / "t.json"
@@ -157,6 +164,15 @@ class TestCommands:
         with pytest.raises(SystemExit, match="error: rho_upper 1 .* bound 4"):
             main(["solve", str(path), "--solver", "FS-MRT",
                   "-p", "rho_upper=1"])
+
+    def test_solve_art_horizon_too_short_exits_cleanly(self):
+        with pytest.raises(
+            SystemExit,
+            match=r"error: horizon 3 is too short: LP \(5\)-\(8\) is infeasible",
+        ):
+            main(["solve", "--scenario",
+                  "paper-default:ports=4,mean=8,horizon=3", "--seed", "1",
+                  "--solver", "FS-ART", "-p", "horizon=3"])
 
     def test_missing_trace_exits_cleanly(self, tmp_path):
         missing = str(tmp_path / "nope.json")

@@ -1,5 +1,6 @@
 """Unit tests for repro.core.flow."""
 
+import numpy as np
 import pytest
 
 from repro.core.flow import Flow
@@ -66,6 +67,13 @@ class TestFlowTransforms:
         assert Flow(0, 1, 1, 0, 2) == Flow(0, 1, 1, 0, 2)
         assert hash(Flow(0, 1)) == hash(Flow(0, 1))
         assert Flow(0, 1) != Flow(1, 0)
+
+    def test_numpy_integers_stored_as_int(self):
+        f = Flow(np.int64(1), np.int32(2), np.int64(3), np.uint8(4))
+        assert (f.src, f.dst, f.demand, f.release) == (1, 2, 3, 4)
+        assert all(
+            type(v) is int for v in (f.src, f.dst, f.demand, f.release)
+        )
 
     def test_ordering_defined(self):
         assert sorted([Flow(1, 0), Flow(0, 1)])[0].src == 0

@@ -140,6 +140,19 @@ class TestInstanceSerialization:
             == small_instance.switch.input_capacities
         ).all()
 
+    def test_round_trip_compares_equal(self, small_instance):
+        again = Instance.from_dict(small_instance.to_dict())
+        assert again == small_instance
+        assert hash(again) == hash(small_instance)
+
+    def test_numpy_integer_flows_digest_like_plain_ints(self):
+        plain = Instance.create(Switch.create(2), [Flow(0, 1, 1, 2)])
+        numpy_ints = Instance.create(
+            Switch.create(2),
+            [Flow(np.int64(0), np.int32(1), np.int64(1), np.int64(2))],
+        )
+        assert numpy_ints.digest() == plain.digest()
+
     def test_round_trip_json_file(self, small_instance, tmp_path):
         path = tmp_path / "trace.json"
         small_instance.save_json(path)

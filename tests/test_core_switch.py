@@ -108,3 +108,19 @@ class TestSwitchDerived:
         assert ports.count(("in", 0)) == 1
         assert len(ports) == 5
         assert ("out", 2) in ports
+
+
+class TestSwitchEquality:
+    def test_equal_switches_compare_and_hash_equal(self):
+        a, b = Switch.create(2), Switch.create(2)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert Switch.create(2, 3, [1, 2], 2) == Switch.create(2, 3, [1, 2], 2)
+
+    def test_different_capacities_differ(self):
+        assert Switch.create(2) != Switch.create(2, 2, 2)
+        assert Switch.create(2, 2, [1, 2]) != Switch.create(2, 2, [2, 1])
+        assert Switch.create(2, 2, 1, [1, 2]) != Switch.create(2, 2, 1, 1)
+        assert Switch.create(2, 3) != Switch.create(3, 2)
+        assert Switch.create(2) != "Switch(2x2)"

@@ -428,7 +428,7 @@ def undecided_instance():
 
 
 def _solve_ending(status):
-    def solve(lp, backend="auto", need_vertex=False):
+    def solve(lp, need_vertex=False):
         return LPResult(status, backend="highs")
 
     return solve

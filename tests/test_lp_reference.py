@@ -38,7 +38,8 @@ from repro.workloads.synthetic import poisson_uniform_workload
 from tests import lp_reference as ref
 from tests.conftest import capacitated_instances, unit_instances
 
-HIGHS = ("highs", "highs-ds")
+#: solve_lp's two HiGHS methods, by the need_vertex flag that picks each.
+HIGHS = {"highs": False, "highs-ds": True}
 
 # repro.art re-exports the function under the module's name.
 ir_module = importlib.import_module("repro.art.iterative_rounding")
@@ -66,9 +67,11 @@ def assert_same_model(lp: LinearProgram, named: ref.NamedLP):
     assert columns == [name[1:] for name in named.names]
 
 
-def assert_same_solve(lp: LinearProgram, named: ref.NamedLP, backend: str):
-    ours = solve_lp(lp, backend=backend)
-    theirs = ref.linprog_solve(named, backend=backend)
+def assert_same_solve(
+    lp: LinearProgram, named: ref.NamedLP, need_vertex: bool
+):
+    ours = solve_lp(lp, need_vertex=need_vertex)
+    theirs = ref.linprog_solve(named, need_vertex=need_vertex)
     assert ours.status is theirs.status
     if ours.is_optimal:
         assert ours.x.tobytes() == theirs.x.tobytes()
@@ -162,8 +165,8 @@ class TestBuildersMatchReference:
         lp = build_fractional_art_lp(inst, horizon)
         named = ref.build_fractional_art_lp(inst, horizon)
         assert_same_model(lp, named)
-        for backend in HIGHS:
-            assert_same_solve(lp, named, backend)
+        for need_vertex in HIGHS.values():
+            assert_same_solve(lp, named, need_vertex)
 
     @given(instances_with_horizon())
     @settings(max_examples=40, deadline=None)
@@ -174,8 +177,8 @@ class TestBuildersMatchReference:
         lp = build_interval_lp0(inst, horizon)
         named = ref.build_interval_lp0(inst, horizon)
         assert_same_model(lp, named)
-        for backend in HIGHS:
-            assert_same_solve(lp, named, backend)
+        for need_vertex in HIGHS.values():
+            assert_same_solve(lp, named, need_vertex)
 
     @given(time_constrained())
     @settings(max_examples=40, deadline=None)
@@ -185,8 +188,8 @@ class TestBuildersMatchReference:
         lp = build_time_constrained_lp(tci)
         named = ref.build_time_constrained_lp(tci)
         assert_same_model(lp, named)
-        for backend in HIGHS:
-            assert_same_solve(lp, named, backend)
+        for need_vertex in HIGHS.values():
+            assert_same_solve(lp, named, need_vertex)
 
     @given(supports())
     @settings(max_examples=60, deadline=None)
@@ -197,8 +200,8 @@ class TestBuildersMatchReference:
         lp = _build_lp_ell(inst, *support_arrays(support))
         named = ref.build_lp_ell(inst, support)
         assert_same_model(lp, named)
-        for backend in HIGHS:
-            assert_same_solve(lp, named, backend)
+        for need_vertex in HIGHS.values():
+            assert_same_solve(lp, named, need_vertex)
 
     def test_lp_ell_cuts_groups_at_block_capacity(self):
         # Ten half-unit columns at each port: a group closes once its
@@ -224,31 +227,31 @@ class TestSolveMatchesLinprog:
             lp.add_constraint(i, named, sense, rhs)
         return lp
 
-    @pytest.mark.parametrize("backend", HIGHS)
-    def test_infeasible(self, backend):
+    @pytest.mark.parametrize("need_vertex", HIGHS.values(), ids=HIGHS)
+    def test_infeasible(self, need_vertex):
         named = self._named(
             [({0: 1.0}, ref.Sense.LE, 1.0), ({0: 1.0}, ref.Sense.GE, 2.0)]
         )
-        assert_same_solve(ref.to_model(named), named, backend)
-        res = solve_lp(ref.to_model(named), backend)
+        assert_same_solve(ref.to_model(named), named, need_vertex)
+        res = solve_lp(ref.to_model(named), need_vertex)
         assert res.status is LPStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("backend", HIGHS)
-    def test_unbounded(self, backend):
+    @pytest.mark.parametrize("need_vertex", HIGHS.values(), ids=HIGHS)
+    def test_unbounded(self, need_vertex):
         named = self._named([({0: 1.0}, ref.Sense.GE, 1.0)], cost=(-1.0,))
-        assert_same_solve(ref.to_model(named), named, backend)
-        res = solve_lp(ref.to_model(named), backend)
+        assert_same_solve(ref.to_model(named), named, need_vertex)
+        res = solve_lp(ref.to_model(named), need_vertex)
         assert res.status is LPStatus.UNBOUNDED
 
-    @pytest.mark.parametrize("backend", HIGHS)
-    def test_finite_upper_bounds(self, backend):
+    @pytest.mark.parametrize("need_vertex", HIGHS.values(), ids=HIGHS)
+    def test_finite_upper_bounds(self, need_vertex):
         named = self._named(
             [({0: 1.0, 1: 1.0}, ref.Sense.GE, 3.0)],
             upper=[1.5, 2.5],
             cost=(1.0, 2.0),
         )
-        assert_same_solve(ref.to_model(named), named, backend)
-        res = solve_lp(ref.to_model(named), backend)
+        assert_same_solve(ref.to_model(named), named, need_vertex)
+        res = solve_lp(ref.to_model(named), need_vertex)
         assert res.objective == pytest.approx(4.5)
 
     @given(
@@ -268,8 +271,8 @@ class TestSolveMatchesLinprog:
     @settings(max_examples=60, deadline=None)
     def test_random_models(self, rows, cost):
         named = self._named(rows, cost=[float(c) for c in cost])
-        for backend in HIGHS:
-            assert_same_solve(ref.to_model(named), named, backend)
+        for need_vertex in HIGHS.values():
+            assert_same_solve(ref.to_model(named), named, need_vertex)
 
     @given(instances)
     @settings(max_examples=30, deadline=None)
@@ -291,8 +294,8 @@ class TestSolveMatchesLinprog:
             oracle._feasible.pop(rho, None)
             feasible = oracle.is_feasible(rho)
             assert_same_model(oracle._lp, named)
-            assert_same_solve(oracle._lp, named, "highs")
-            theirs = ref.linprog_solve(named, backend="highs")
+            assert_same_solve(oracle._lp, named, False)
+            theirs = ref.linprog_solve(named)
             assert feasible == theirs.is_optimal
 
 
@@ -339,7 +342,7 @@ class TestPostSolveCheck:
     def _solve(self, monkeypatch, status, x, rows, objective=0.0):
         fake = _FakeHighs(status, np.asarray(x), np.asarray(rows), objective)
         monkeypatch.setattr(solver_module._highs, "_Highs", fake)
-        return solve_lp(self._lp(), backend="highs-ds")
+        return solve_lp(self._lp(), need_vertex=True)
 
     def test_consistent_point_is_optimal(self, monkeypatch):
         ok = solver_module._highs.HighsModelStatus.kOptimal
@@ -364,7 +367,7 @@ class TestPostSolveCheck:
         lp = LinearProgram.from_columns([0.0], [[0]], [[1.0]], [1.0], [1.0])
         fake = _FakeHighs(ok, np.array([1.0]), np.array([1.0 - 1e-3]))
         monkeypatch.setattr(solver_module._highs, "_Highs", fake)
-        assert solve_lp(lp, backend="highs").status is LPStatus.ERROR
+        assert solve_lp(lp, need_vertex=False).status is LPStatus.ERROR
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -391,11 +394,11 @@ def delegating(real, stubbed=0, point=None):
     ``real``."""
     models = []
 
-    def solve(lp, backend="auto", need_vertex=False):
+    def solve(lp, need_vertex=False):
         models.append(lp)
         if len(models) <= stubbed:
             return LPResult(LPStatus.OPTIMAL, 1.0, point(lp), True, "highs-ds")
-        return real(lp, backend=backend, need_vertex=need_vertex)
+        return real(lp, need_vertex=need_vertex)
 
     solve.models = models
     return solve

@@ -94,6 +94,23 @@ class TestWarmStartAgainstBruteForce:
         _assert_valid_matching(g, warm)
         assert len(warm) == 2
 
+    def test_parallel_edge_warm_start_keeps_seeded_copy(self):
+        # Edges 0, 1 and 2 are copies of (0, 0); a cold solve takes the
+        # first, a warm start keeps the copy it names, by either entry.
+        edges = [(0, 0), (0, 0), (0, 0), (1, 1)]
+        g = _graph(2, 2, edges)
+        assert max_cardinality_matching(g) == {0: 0, 1: 3}
+        us = np.array([u for u, _ in edges])
+        vs = np.array([v for _, v in edges])
+        for eid in (1, 2):
+            assert max_cardinality_matching(g, warm_start={0: eid}) == {
+                0: eid,
+                1: 3,
+            }
+            assert max_cardinality_matching_arrays(
+                2, 2, us, vs, warm_start={0: eid}
+            ) == {0: eid, 1: 3}
+
 
 class TestWarmStartDoesLessWork:
     def test_full_warm_start_skips_augmentation(self):

@@ -227,15 +227,15 @@ class TimeConstrainedSolver(SolverAdapter):
         elif rho is not None and deadlines is not None:
             raise ValueError("pass at most one of rho / deadlines")
         elif rho is not None:
-            tci = from_response_bound(instance, int(rho))
+            tci = from_response_bound(instance, rho)
         elif deadlines is not None:
-            tci = from_deadlines(instance, [int(d) for d in deadlines])
+            tci = from_deadlines(instance, deadlines)
         else:
             # Always-feasible default: one flow per round after the last
             # release fits within horizon_bound(), so a response bound of
             # that size admits a schedule on any instance.
             rho = instance.horizon_bound()
-            tci = from_response_bound(instance, int(rho))
+            tci = from_response_bound(instance, rho)
         res = schedule_time_constrained(tci)
         params = {}
         if rho is not None:

@@ -38,6 +38,7 @@ from repro.matching.b_matching import project_coloring, replicate_ports
 from repro.matching.bipartite import BipartiteMultigraph
 from repro.matching.bvn import decompose_into_matchings
 from repro.utils.timing import measure
+from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,10 @@ def pseudo_to_schedule(
         return ConversionResult(
             Schedule(inst, np.zeros(0, dtype=np.int64)), 1, 1, 0, 0
         )
-    h = default_window(n, c) if window is None else int(window)
-    if h < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if window is None:
+        h = default_window(n, c)
+    else:
+        h = check_positive_int(window, "window")
 
     # Bucket flows by pseudo-window (vectorized: one stable sort, split at
     # window boundaries; fids stay ascending within a window).

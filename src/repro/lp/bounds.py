@@ -47,6 +47,7 @@ from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
 from repro.lp.solver import solve_lp
 from repro.utils.timing import measure
+from repro.utils.validation import check_positive_int
 
 #: Entries kept per in-process cache (oldest evicted beyond this).
 CACHE_LIMIT = 1024
@@ -135,6 +136,8 @@ class LPBoundOracle:
         earliest-fit schedule's max response, which the greedy schedule
         certifies feasible.  A caller's cap is not certified:
         :meth:`lower_bound` checks it by LP if the search ends on it.
+        It must be a positive integer; the error names it ``rho_upper``,
+        as callers pass it.
 
     Attributes
     ----------
@@ -168,7 +171,7 @@ class LPBoundOracle:
             # The greedy schedule certifies feasibility at its own bound;
             # this memo entry is the only certificate a cap gets for free.
             self._feasible[rho_cap] = True
-        self.rho_cap = int(rho_cap)
+        self.rho_cap = check_positive_int(rho_cap, "rho_upper")
 
     def _build(self) -> None:
         # Deferred to dodge the repro.lp <-> repro.mrt import cycle: the

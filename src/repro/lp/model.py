@@ -1,12 +1,13 @@
 """Array-native LP model: the arrays HiGHS reads.
 
 The scheduling LPs (paper equations (1)–(12) and (19)–(21)) have one
-column per (flow, round) pair and rows indexed by flows and by (port,
-interval) pairs.  Their builders fill a :class:`LinearProgram` with
-NumPy: costs and column bounds, a CSC matrix, and row bounds in HiGHS's
-``lo <= A x <= hi`` form.  :func:`repro.lp.solver.solve_lp` hands these
-arrays to HiGHS as they are, so a builder's row and column order is the
-order HiGHS sees.
+column per (flow, round) pair, or per (flow class, round) in LP (1)–(4),
+and rows indexed by flows or classes and by (port, interval) pairs.
+Their builders fill a :class:`LinearProgram` with NumPy: costs, an
+objective constant and column bounds, a CSC matrix, and row bounds in
+HiGHS's ``lo <= A x <= hi`` form.  :func:`repro.lp.solver.solve_lp`
+hands these arrays to HiGHS as they are, so a builder's row and column
+order is the order HiGHS sees.
 
 All models are minimization; use negated coefficients to maximize.  A
 ``>=`` row is stored negated, as ``-a x <= -b``, which is the form
@@ -35,8 +36,13 @@ class LinearProgram:
     row_lower, row_upper:
         Per-row float arrays (``-inf`` / ``inf`` for an open side).
     flow, round:
-        For the paper's LPs, the flow and the round of each column
-        (``None`` for other models).
+        For the paper's LPs, the flow and the round of each column (in
+        LP (1)–(4), the lowest fid of the column's flow class; ``None``
+        for other models).
+    offset:
+        The objective's constant term: the model's value is
+        ``cost @ x + offset``.  :func:`repro.lp.solver.solve_lp` hands it
+        to HiGHS, so every result's objective includes it.
     """
 
     cost: np.ndarray
@@ -49,6 +55,7 @@ class LinearProgram:
     row_upper: np.ndarray
     flow: Optional[np.ndarray] = None
     round: Optional[np.ndarray] = None
+    offset: float = 0.0
 
     @classmethod
     def from_columns(

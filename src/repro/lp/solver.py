@@ -19,7 +19,10 @@ directly on the model's arrays, with the options
 ``scipy.optimize.linprog`` sets for ``method="highs"`` / ``"highs-ds"``,
 and keep ``linprog``'s post-solve check of the returned point.  Given
 the arrays ``linprog`` would pass, HiGHS returns the same vertex, bit
-for bit, without ``linprog``'s per-column Python work.
+for bit, without ``linprog``'s per-column Python work.  A model's
+:attr:`~repro.lp.model.LinearProgram.offset` goes to HiGHS as the
+objective's constant term, so the reported objective includes it; it
+does not move the vertex.
 :attr:`LPResult.backend <repro.lp.result.LPResult.backend>` records the
 method that answered.
 
@@ -100,13 +103,16 @@ def solve_lp(lp: LinearProgram, need_vertex: bool = False) -> LPResult:
     Returns
     -------
     LPResult
-        A model without columns is OPTIMAL (objective 0) when every row
-        admits the activity 0, and INFEASIBLE otherwise.
+        Its objective is ``cost @ x + lp.offset``.  A model without
+        columns is OPTIMAL (objective ``lp.offset``) when every row admits
+        the activity 0, and INFEASIBLE otherwise.
     """
     method = "highs-ds" if need_vertex else "highs"
     if lp.num_vars == 0:
         if ((lp.row_lower <= 0.0) & (lp.row_upper >= 0.0)).all():
-            return LPResult(LPStatus.OPTIMAL, 0.0, np.zeros(0), True, method)
+            return LPResult(
+                LPStatus.OPTIMAL, float(lp.offset), np.zeros(0), True, method
+            )
         return LPResult(LPStatus.INFEASIBLE, backend=method)
     return _solve_highs(lp, method)
 
@@ -158,7 +164,7 @@ def _solve_simplex(lp: LinearProgram) -> LPResult:
     x = res.x[: lp.num_vars]
     return LPResult(
         LPStatus.OPTIMAL,
-        objective=float(lp.cost @ x),
+        objective=float(lp.cost @ x + lp.offset),
         x=x,
         is_vertex=True,
         backend="simplex",
@@ -180,6 +186,7 @@ def _solve_highs(lp: LinearProgram, method: str) -> LPResult:
     matrix.index_ = lp.indices.tolist()
     matrix.value_ = lp.data.tolist()
     model.col_cost_ = lp.cost
+    model.offset_ = lp.offset
     model.col_lower_ = lp.col_lower
     model.col_upper_ = lp.col_upper
     model.row_lower_ = lp.row_lower

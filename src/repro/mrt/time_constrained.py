@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.instance import Instance
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,9 @@ def from_deadlines(
         raise ValueError("need one deadline per flow")
     active = []
     for flow, deadline in zip(instance.flows, deadlines):
+        deadline = check_nonnegative_int(
+            deadline, f"flow {flow.fid}: deadline"
+        )
         if deadline < flow.release:
             raise ValueError(
                 f"flow {flow.fid}: deadline {deadline} precedes release "

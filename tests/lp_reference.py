@@ -7,12 +7,15 @@ of the models' export, so the tests can pin the array code to them:
 
 * :class:`NamedLP` — an LP with named variables and constraints;
   :func:`export` gives the arrays ``linprog`` hands HiGHS (``A_ub``
-  stacked above ``A_eq`` in CSC form, ``>=`` rows negated);
+  stacked above ``A_eq`` in CSC form, ``>=`` rows negated), and
+  :func:`model_arrays` a library model's arrays in the same order;
 * :func:`build_fractional_art_lp`, :func:`build_interval_lp0`,
   :func:`build_lp_ell` and :func:`build_time_constrained_lp` — LP (1)–(4),
-  (5)–(8), (9)–(12) and (19)–(21), built by name; ``build_interval_lp0``
-  also builds LP (5)–(8) with a column for every round, the model whose
-  dominated columns the library drops;
+  (5)–(8), (9)–(12) and (19)–(21), built by name; ``build_fractional_art_lp``
+  also builds LP (1)–(4) with one column per (flow, round), the model the
+  library's flow classes replace, and ``build_interval_lp0`` LP (5)–(8)
+  with a column for every round, the model whose dominated columns the
+  library drops;
 * :func:`linprog_solve` — the ``linprog`` solve with the status mapping
   the library used;
 * :func:`round_time_constrained` and :func:`iterative_rounding` — the
@@ -50,9 +53,11 @@ class Sense(enum.Enum):
 
 
 class NamedLP:
-    """Minimization LP with named variables, bounds ``[0, inf)``."""
+    """Minimization LP with named variables, bounds ``[0, inf)``, and the
+    objective's constant term ``offset``."""
 
     def __init__(self) -> None:
+        self.offset = 0.0
         self.names: List[Hashable] = []
         self.index: Dict[Hashable, int] = {}
         self.cost: List[float] = []
@@ -132,12 +137,28 @@ def export(lp: NamedLP):
     )
 
 
+def model_arrays(lp: LinearProgram):
+    """A :class:`LinearProgram`'s arrays in :func:`export`'s order."""
+    return (
+        lp.cost,
+        lp.col_lower,
+        lp.col_upper,
+        lp.indptr,
+        lp.indices,
+        lp.data,
+        lp.row_lower,
+        lp.row_upper,
+    )
+
+
 def to_model(lp: NamedLP) -> LinearProgram:
     """The :class:`LinearProgram` of :func:`export`, with each column's
     flow and round read from its ``(tag, fid, t)`` name."""
     columns = np.array([name[1:] for name in lp.names], dtype=np.int64)
     flow, rounds = columns.reshape(-1, 2).T
-    return LinearProgram(*export(lp), flow=flow, round=rounds)
+    return LinearProgram(
+        *export(lp), flow=flow, round=rounds, offset=lp.offset
+    )
 
 
 _SCIPY_STATUS = {
@@ -161,9 +182,16 @@ def linprog_solve(lp: NamedLP, need_vertex=False):
     status = _SCIPY_STATUS.get(res.status, LPStatus.ERROR)
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, backend=method)
+    objective = float(res.fun)
+    if lp.offset:
+        # linprog takes no constant term.  HiGHS sums the objective from
+        # it, column by column.
+        objective = lp.offset
+        for c_j, x_j in zip(c.tolist(), res.x.tolist()):
+            objective += c_j * x_j
     return LPResult(
         LPStatus.OPTIMAL,
-        objective=float(res.fun),
+        objective=objective,
         x=np.asarray(res.x, dtype=np.float64),
         is_vertex=need_vertex,
         backend=method,
@@ -175,30 +203,55 @@ def linprog_solve(lp: NamedLP, need_vertex=False):
 # ----------------------------------------------------------------------
 
 
-def build_fractional_art_lp(instance: Instance, horizon=None) -> NamedLP:
-    """LP (1)-(4) with the per-flow windows of the library's builder."""
+def build_fractional_art_lp(
+    instance: Instance, horizon=None, per_flow: bool = False
+) -> NamedLP:
+    """LP (1)-(4) over the flow classes of the library's builder, or with
+    ``per_flow`` one column per (flow, round) in each flow's window.
+
+    A class is the flows of one (src, dst, demand), named by its lowest
+    fid; ``per_flow`` makes every flow its own class.
+    """
     H = _horizon(instance, horizon)
     sw = instance.switch
-    in_load, out_load = instance.port_loads()
-    waits = (in_load // sw.input_capacities)[instance.srcs()] + (
-        out_load // sw.output_capacities
-    )[instance.dsts()]
-    ends = np.minimum(H, instance.releases() + waits + 1).tolist()
+    in_load: dict = {}
+    out_load: dict = {}
+    classes: dict = {}
+    for flow in instance.flows:
+        in_load[flow.src] = in_load.get(flow.src, 0) + flow.demand
+        out_load[flow.dst] = out_load.get(flow.dst, 0) + flow.demand
+        key = flow.fid if per_flow else (flow.src, flow.dst, flow.demand)
+        classes.setdefault(key, []).append(flow)
     lp = NamedLP()
     in_rows: dict = {}
     out_rows: dict = {}
-    for flow, end in zip(instance.flows, ends):
-        kappa = sw.kappa(flow.src, flow.dst)
-        coeffs = {}
-        for t in range(flow.release, end):
-            name = ("b", flow.fid, t)
-            cost = (t - flow.release) / flow.demand + 1.0 / (2.0 * kappa)
+    for members in classes.values():
+        lead = members[0]
+        releases = [flow.release for flow in members]
+        start = min(releases)
+        end = min(
+            H,
+            max(releases)
+            + in_load[lead.src] // sw.input_capacity(lead.src)
+            + out_load[lead.dst] // sw.output_capacity(lead.dst)
+            + 1,
+        )
+        kappa = sw.kappa(lead.src, lead.dst)
+        names = {}
+        for t in range(start, end):
+            name = ("b", lead.fid, t)
+            cost = (t - start) / lead.demand + 1.0 / (2.0 * kappa)
             lp.add_variable(name, objective=cost)
-            coeffs[name] = 1.0
-            in_rows.setdefault((flow.src, t), {})[name] = 1.0
-            out_rows.setdefault((flow.dst, t), {})[name] = 1.0
-        demand = float(flow.demand)
-        lp.add_constraint(("flow", flow.fid), coeffs, Sense.GE, demand)
+            names[t] = name
+            in_rows.setdefault((lead.src, t), {})[name] = 1.0
+            out_rows.setdefault((lead.dst, t), {})[name] = 1.0
+        for rho in sorted(set(releases)):
+            coeffs = {name: 1.0 for t, name in names.items() if t >= rho}
+            need = lead.demand * sum(r >= rho for r in releases)
+            lp.add_constraint(
+                ("flow", lead.fid, rho), coeffs, Sense.GE, float(need)
+            )
+        lp.offset -= sum(r - start for r in releases)
     for (p, t), coeffs in sorted(in_rows.items()):
         cap = float(sw.input_capacity(p))
         lp.add_constraint(("cap", "in", p, t), coeffs, Sense.LE, cap)

@@ -78,33 +78,53 @@ def window_ends(inst, horizon):
     ]
 
 
-def check_windows_keep_optimum(inst):
-    """The windowed LP's optimum is the full-horizon one's, and the
-    full-horizon optimum puts no mass outside the windows."""
+def singletons(inst):
+    """The instance's first flow of each (src, dst, demand) class."""
+    first = {}
+    for f in inst.flows:
+        first.setdefault((f.src, f.dst, f.demand), f)
+    return Instance.create(inst.switch, list(first.values()))
+
+
+def check_classes_keep_optimum(inst, horizon):
+    """The class LP's optimum, offset included, is the per-flow LP's over
+    every round of ``[r_e, horizon)``, which puts no mass outside the
+    flows' windows; a horizon too short leaves both infeasible.  With one
+    flow per class, the model is the per-flow windowed one, array for
+    array, and so is its optimum, bit for bit."""
     if inst.num_flows == 0:
         return
-    for horizon in (None, inst.compact_horizon_bound()):
-        if horizon is None:
-            windowed = build_fractional_art_lp(inst)
-            horizon = inst.horizon_bound()
-        else:
-            windowed = build_fractional_art_lp(inst, horizon)
+    lp = build_fractional_art_lp(inst, horizon)
+    if horizon is None:
+        horizon = inst.horizon_bound()
+    full = full_horizon_lp(inst, horizon)
+    full_result = solve_lp(full)
+    result = solve_lp(lp)
+    assert result.status is full_result.status
+    if full_result.is_optimal:
+        assert result.objective == pytest.approx(
+            full_result.objective, rel=1e-9
+        )
         ends = window_ends(inst, horizon)
-        assert columns(windowed) == [
-            (f.fid, t)
-            for f in inst.flows
-            for t in range(f.release, ends[f.fid])
-        ]
-        full = full_horizon_lp(inst, horizon)
-        full_result = solve_lp(full)
-        value = solve_lp(windowed).objective
-        assert value == pytest.approx(full_result.objective, rel=1e-9)
         outside = sum(
             x
             for (fid, t), x in zip(columns(full), full_result.x)
             if t >= ends[fid]
         )
         assert outside <= 1e-9
+    one = singletons(inst)
+    lp = build_fractional_art_lp(one, horizon)
+    per_flow = ref.to_model(
+        ref.build_fractional_art_lp(one, horizon, per_flow=True)
+    )
+    for ours, theirs in zip(ref.model_arrays(lp), ref.model_arrays(per_flow)):
+        assert np.array_equal(ours, theirs)
+    assert columns(lp) == columns(per_flow)
+    assert lp.offset == per_flow.offset == 0.0
+    ours, theirs = solve_lp(lp), solve_lp(per_flow)
+    assert ours.status is theirs.status
+    if ours.is_optimal:
+        assert ours.objective.hex() == theirs.objective.hex()
 
 
 def all_rounds_lp0(inst, horizon=None):
@@ -205,6 +225,34 @@ class TestLPConstruction:
         assert lp.round[lp.flow == 0].tolist() == [0, 1, 2, 3, 4]
         assert build_fractional_art_lp(inst, horizon=3).num_vars == 9
 
+    def test_flow_class_shares_columns(self):
+        # Flows 0 and 2 share (src, dst, demand) = (0, 0, 1) and are
+        # released at 0 and 2: one class, named by fid 0, on rounds
+        # [0, 2 + floor(2/1) + floor(2/1) + 1).  Flow 1 is its own class.
+        inst = Instance.create(
+            Switch.create(2), [Flow(0, 0), Flow(1, 1), Flow(0, 0, 1, 2)]
+        )
+        lp = build_fractional_art_lp(inst, horizon=20)
+        assert columns(lp) == [(0, t) for t in range(7)] + [
+            (1, t) for t in range(3)
+        ]
+        assert lp.cost[:7].tolist() == [t + 0.5 for t in range(7)]
+        # Covering rows (class 0 from rounds 0 and 2, class 1 from 0):
+        # two unit flows from round 0 on, one from round 2 on.
+        assert lp.row_upper[:3].tolist() == [-2.0, -1.0, -1.0]
+        A = lp.dense_matrix()
+        assert A[0].tolist() == [-1.0] * 7 + [0.0] * 3
+        assert A[1].tolist() == [0.0] * 2 + [-1.0] * 5 + [0.0] * 3
+        assert A[2].tolist() == [0.0] * 7 + [-1.0] * 3
+        # Flow 2's mass costs 2/d more in the class than alone.
+        assert lp.offset == -2.0
+        per_flow = ref.to_model(
+            ref.build_fractional_art_lp(inst, 20, per_flow=True)
+        )
+        assert solve_lp(lp).objective == pytest.approx(
+            solve_lp(per_flow).objective, rel=1e-12
+        )
+
     def test_horizon_must_cover_releases(self):
         inst = Instance.create(Switch.create(2), [Flow(0, 0, 1, 5)])
         with pytest.raises(ValueError, match="horizon"):
@@ -300,15 +348,26 @@ class TestLowerBound:
         assert compact == pytest.approx(full, abs=1e-6)
 
 
-class TestFlowWindows:
-    """Per-flow windows leave LP (1)-(4)'s optimum unchanged."""
+class TestFlowClasses:
+    """One column per (flow class, round) leaves LP (1)-(4)'s optimum
+    unchanged, and is the per-flow model when every class is a flow."""
 
-    @given(unit_instances(max_ports=3, max_flows=6))
+    @given(with_horizon(unit_instances(max_ports=3, max_flows=6)))
     @settings(max_examples=25, deadline=None)
-    def test_unit_instances(self, inst):
-        check_windows_keep_optimum(inst)
+    def test_unit_instances(self, case):
+        check_classes_keep_optimum(*case)
 
-    @given(capacitated_instances(max_ports=3, max_flows=6))
+    @given(with_horizon(capacitated_instances(max_ports=3, max_flows=6)))
     @settings(max_examples=25, deadline=None)
-    def test_capacitated_instances(self, inst):
-        check_windows_keep_optimum(inst)
+    def test_capacitated_instances(self, case):
+        check_classes_keep_optimum(*case)
+
+    @given(
+        with_horizon(
+            capacitated_instances(max_ports=2, max_flows=8, max_release=5)
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_repeated_classes(self, case):
+        """On 1-2 ports most flows share a class with another release."""
+        check_classes_keep_optimum(*case)

@@ -157,6 +157,29 @@ class TestCommands:
                 main(["solve", str(trace), "--solver", solver,
                       "-p", "backend=auto"])
 
+    @pytest.mark.parametrize(
+        "solver, param, message",
+        [
+            ("FS-ART", "horizon=2.5", "horizon must be an integer, got float"),
+            ("FS-ART", "horizon=1e30", "horizon must be an integer, got float"),
+            ("FS-ART", "horizon=true", "horizon must be an integer, got bool"),
+            ("FS-ART", "window=2.5", "window must be an integer, got float"),
+            ("FS-MRT", "rho_upper=2.5",
+             "rho_upper must be an integer, got float"),
+            ("FS-MRT", "rho_upper=true",
+             "rho_upper must be an integer, got bool"),
+            ("TimeConstrained", "rho=2.5", "rho must be an integer, got float"),
+        ],
+    )
+    def test_solve_non_integer_param_exits_cleanly(
+        self, solver, param, message
+    ):
+        # Integer parameters are checked, never truncated by int().
+        with pytest.raises(SystemExit, match=f"error: {message}"):
+            main(["solve", "--scenario",
+                  "paper-default:ports=4,mean=4,horizon=3", "--seed", "1",
+                  "--solver", solver, "-p", param])
+
     def test_solve_mrt_cap_below_rho_star_exits_cleanly(self, tmp_path):
         path = tmp_path / "t.json"
         main(["generate", str(path), "--ports", "6", "--mean", "5",

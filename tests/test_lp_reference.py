@@ -45,24 +45,13 @@ HIGHS = {"highs": False, "highs-ds": True}
 ir_module = importlib.import_module("repro.art.iterative_rounding")
 
 
-def model_arrays(lp: LinearProgram):
-    return (
-        lp.cost,
-        lp.col_lower,
-        lp.col_upper,
-        lp.indptr,
-        lp.indices,
-        lp.data,
-        lp.row_lower,
-        lp.row_upper,
-    )
-
-
 def assert_same_model(lp: LinearProgram, named: ref.NamedLP):
-    """Equal arrays, and each column's (flow, round) is its name's."""
-    for ours, theirs in zip(model_arrays(lp), ref.export(named)):
+    """Equal arrays and offset, and each column's (flow, round) is its
+    name's."""
+    for ours, theirs in zip(ref.model_arrays(lp), ref.export(named)):
         assert ours.shape == theirs.shape
         assert np.array_equal(ours, theirs)
+    assert lp.offset == named.offset
     columns = list(zip(lp.flow.tolist(), lp.round.tolist()))
     assert columns == [name[1:] for name in named.names]
 
@@ -408,7 +397,7 @@ def assert_same_residual_lps(ours, theirs):
     """The array loop solved exactly the reference loop's LPs."""
     assert len(ours) == len(theirs)
     for lp, named in zip(ours, theirs):
-        for a, b in zip(model_arrays(lp), ref.export(named)):
+        for a, b in zip(ref.model_arrays(lp), ref.export(named)):
             assert a.shape == b.shape and np.array_equal(a, b)
 
 

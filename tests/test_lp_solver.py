@@ -1,5 +1,6 @@
 """Tests for the LP solve (repro.lp.solver)."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -60,6 +61,15 @@ class TestBackends:
         res = solve_lp(_transport_lp(), need_vertex=True)
         assert res.backend == "highs-ds"
         assert res.is_vertex
+
+    @pytest.mark.parametrize("backend", list(SOLVES))
+    def test_offset_adds_to_objective(self, backend):
+        lp = dataclasses.replace(_transport_lp(), offset=-0.5)
+        res = SOLVES[backend](lp)
+        assert res.objective == pytest.approx(1.5)
+        assert res.x.tolist() == pytest.approx([2.0, 0.0])
+        column_free = dataclasses.replace(_column_free([], []), offset=4.0)
+        assert SOLVES[backend](column_free).objective == 4.0
 
     def test_simplex_always_vertex(self):
         res = _solve_simplex(_transport_lp())

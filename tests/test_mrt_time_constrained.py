@@ -70,6 +70,11 @@ class TestReductions:
         with pytest.raises(ValueError, match="precedes release"):
             from_deadlines(inst, [2, 1])
 
+    @pytest.mark.parametrize("deadline", [2.5, True])
+    def test_from_deadlines_rejects_non_integers(self, inst, deadline):
+        with pytest.raises(TypeError, match="flow 1: deadline must be an int"):
+            from_deadlines(inst, [2, deadline])
+
     def test_from_deadlines_wrong_length(self, inst):
         with pytest.raises(ValueError, match="one deadline"):
             from_deadlines(inst, [2])

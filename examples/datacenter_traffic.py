@@ -20,8 +20,7 @@ from repro import (
     poisson_uniform_workload,
     simulate,
 )
-from repro.art.lp_relaxation import art_lp_lower_bound
-from repro.mrt.algorithm import fractional_mrt_lower_bound
+from repro.lp.bounds import art_lower_bound, mrt_lower_bound
 
 
 def compare(instance, label: str, with_lp: bool = True) -> None:
@@ -35,10 +34,10 @@ def compare(instance, label: str, with_lp: bool = True) -> None:
             f"{max_response_time(result.schedule):>8d}"
         )
     if with_lp:
-        avg_lb = art_lp_lower_bound(
+        avg_lb = art_lower_bound(
             instance, horizon=instance.compact_horizon_bound()
         ) / instance.num_flows
-        max_lb = fractional_mrt_lower_bound(instance)
+        max_lb = mrt_lower_bound(instance)
         print(f"{'LP bound':>10} {avg_lb:>8.2f} {max_lb:>8d}")
 
 

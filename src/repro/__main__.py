@@ -34,7 +34,9 @@ Commands
     service's directory (a second machine, or just more cores).
 ``submit --address URL``
     Blocking client for a running service: submit one solve (trace,
-    inline, or ``--scenario``) and print the served report.
+    inline, or ``--scenario``) and print the served report.  With
+    ``--json`` an error prints ``{"status": "error", "error": {...},
+    "http_status": N}`` as well as the ``error:`` line on stderr.
 ``bench``
     Run the script-mode benchmark suites and write committed,
     machine-normalized ``BENCH_*.json`` snapshots (``repro.bench``).
@@ -587,6 +589,12 @@ def _cmd_submit(args) -> int:
             trace=args.trace_id,
         )
     except ServiceError as exc:
+        if args.json:
+            print(json.dumps(
+                {"status": "error", "error": exc.error.to_dict(),
+                 "http_status": exc.status},
+                indent=1, sort_keys=True,
+            ))
         raise SystemExit(f"error: {exc}")
     if args.json:
         print(json.dumps(response.to_dict(), indent=1, sort_keys=True))
@@ -839,7 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--http-timeout", type=float, default=300.0,
                    help="transport timeout per HTTP exchange, seconds")
     p.add_argument("--json", action="store_true",
-                   help="print the raw protocol response")
+                   help="print the raw protocol response; on an error, "
+                        "its status, error body and HTTP status")
     p.add_argument("--trace-id", dest="trace_id", default=None,
                    metavar="ID",
                    help="caller trace ID for the service to adopt "

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.flow import Flow
 from repro.core.instance import Instance
 from repro.core.switch import Switch
-from repro.mrt.algorithm import fractional_mrt_lower_bound
+from repro.lp.bounds import mrt_lower_bound
 from repro.mrt.exact import exact_time_constrained_schedule
 from repro.mrt.time_constrained import from_response_bound
 from repro.utils.rng import SeedLike, make_rng
@@ -159,4 +159,4 @@ def _optimal_unaugmented_response(
             if sched is not None:
                 return rho
             rho += 1
-    return fractional_mrt_lower_bound(instance)
+    return mrt_lower_bound(instance)

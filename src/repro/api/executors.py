@@ -185,21 +185,19 @@ EXECUTOR_NAMES = ("serial", "multiprocessing")
 
 
 def make_executor(
-    spec: "str | Executor" = "serial",
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
+    spec: "str | Executor" = "serial", jobs: Optional[int] = None
 ) -> Executor:
     """Coerce ``spec`` (a name or an executor instance) into an executor.
 
     ``jobs > 1`` with the default spec upgrades ``"serial"`` to a
     multiprocessing pool, so callers can simply plumb a ``--jobs`` flag.
     An executor *instance* is returned as-is and must not be combined
-    with ``jobs``/``chunk_size`` — configure the instance instead.
+    with ``jobs`` — configure the instance instead.
     """
     if not isinstance(spec, str):
-        if jobs is not None or chunk_size is not None:
+        if jobs is not None:
             raise ValueError(
-                "jobs/chunk_size apply only to executor names; configure "
+                "jobs applies only to executor names; configure "
                 f"the {type(spec).__name__} instance directly"
             )
         return spec
@@ -207,10 +205,10 @@ def make_executor(
         if jobs is not None and int(jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if jobs is not None and int(jobs) > 1:
-            return MultiprocessingExecutor(jobs, chunk_size)
+            return MultiprocessingExecutor(jobs)
         return SerialExecutor()
-    if spec in ("multiprocessing", "mp", "process"):
-        return MultiprocessingExecutor(jobs, chunk_size)
+    if spec == "multiprocessing":
+        return MultiprocessingExecutor(jobs)
     raise ValueError(
         f"unknown executor {spec!r}; available: {EXECUTOR_NAMES}"
     )

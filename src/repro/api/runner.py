@@ -411,11 +411,7 @@ def run_batch(batch: BatchWorkItem) -> List[TrialResult]:
                     )
                     if record is None:
                         with measure("lp_avg_bound"):
-                            total = art_lower_bound(
-                                instance,
-                                horizon=horizon,
-                                use_cache=item.use_cache,
-                            )
+                            total = art_lower_bound(instance, horizon=horizon)
                         record = _bound_report(
                             LP_AVG_KEY,
                             {"lp_total_response": float(total)},
@@ -436,11 +432,7 @@ def run_batch(batch: BatchWorkItem) -> List[TrialResult]:
                     )
                     if record is None:
                         with measure("lp_max_bound"):
-                            rho = float(
-                                mrt_lower_bound(
-                                    instance, use_cache=item.use_cache
-                                )
-                            )
+                            rho = float(mrt_lower_bound(instance))
                         record = _bound_report(
                             LP_MAX_KEY, {"rho_star": rho}, {}
                         )
@@ -621,8 +613,6 @@ class Runner:
     jobs:
         Worker count; ``jobs > 1`` upgrades the default executor to a
         multiprocessing pool.
-    chunk_size:
-        Items per pool task (multiprocessing only; auto when ``None``).
     compute_lp_bounds:
         Also compute the LP lower bounds for cells within
         ``config.lp_round_limit``.
@@ -660,11 +650,9 @@ class Runner:
         :func:`~repro.utils.timing.measure` phase becomes a child span —
         all durations also land in the shared
         :mod:`repro.obs.metrics` registry.  ``None`` (default) traces
-        nothing.
-    trace_id:
-        Explicit trace ID for the span log; defaults to a deterministic
-        ID derived from the sweep configuration and solver names, so
-        fixed-seed sweeps produce byte-stable logs (timestamps aside).
+        nothing.  The trace ID is derived from the sweep configuration
+        and solver names, so fixed-seed sweeps produce byte-stable logs
+        (timestamps aside).
 
     Example
     -------
@@ -679,17 +667,15 @@ class Runner:
         config: ExperimentConfig,
         executor: "str | Executor" = "serial",
         jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         compute_lp_bounds: bool = True,
         cache_dir: "Optional[str]" = None,
         resume: bool = True,
         verify: bool = False,
         batch_trials: Optional[int] = None,
         trace: "Optional[str | Tracer]" = None,
-        trace_id: Optional[str] = None,
     ):
         self.config = config
-        self.executor = make_executor(executor, jobs=jobs, chunk_size=chunk_size)
+        self.executor = make_executor(executor, jobs=jobs)
         self.compute_lp_bounds = compute_lp_bounds
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.resume = resume
@@ -698,7 +684,6 @@ class Runner:
             raise ValueError(f"batch_trials must be >= 1, got {batch_trials}")
         self.batch_trials = batch_trials
         self.trace = trace
-        self.trace_id = trace_id
 
     def _open_trace(self, kind: str, names: Sequence[str]):
         """``(tracer, owned)`` for this run: ``(None, False)`` when
@@ -713,11 +698,9 @@ class Runner:
             return self.trace, False
         from repro.obs.export import JsonlSink
 
-        trace_id = self.trace_id or new_trace_id(
-            f"{kind}:{self.config!r}:{','.join(names)}"
-        )
+        label = f"{kind}:{self.config!r}:{','.join(names)}"
         tracer = Tracer(
-            trace_id=trace_id,
+            trace_id=new_trace_id(label),
             sink=JsonlSink(str(self.trace)),
             metrics=get_registry(),
         )

@@ -337,16 +337,6 @@ class ResultStore:
             self._append(lines)
         return len(lines)
 
-    def get_many(self, requests) -> "list[Optional[dict]]":
-        """Bulk :meth:`get`: one stored report (or ``None``) per
-        ``(solver, instance_digest, params)`` request, in input order.
-        Hit/miss counters update per request, exactly as N ``get`` calls
-        would."""
-        return [
-            self.get(solver, instance_digest, params)
-            for solver, instance_digest, params in requests
-        ]
-
     def close(self) -> None:
         """Close this process's shard handle (records are already flushed)."""
         if self._fh is not None:

@@ -13,11 +13,7 @@
 * :mod:`repro.art.algorithm` — the end-to-end FS-ART solver.
 """
 
-from repro.art.lp_relaxation import (
-    art_lp_lower_bound,
-    build_fractional_art_lp,
-    build_interval_lp0,
-)
+from repro.art.lp_relaxation import build_fractional_art_lp, build_interval_lp0
 from repro.art.pseudo_schedule import PseudoSchedule
 from repro.art.iterative_rounding import iterative_rounding
 from repro.art.conversion import ConversionResult, pseudo_to_schedule
@@ -26,7 +22,6 @@ from repro.art.algorithm import ARTResult, solve_art
 __all__ = [
     "build_fractional_art_lp",
     "build_interval_lp0",
-    "art_lp_lower_bound",
     "PseudoSchedule",
     "iterative_rounding",
     "pseudo_to_schedule",

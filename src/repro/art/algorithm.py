@@ -13,11 +13,11 @@ from typing import Optional
 
 from repro.art.conversion import ConversionResult, pseudo_to_schedule
 from repro.art.iterative_rounding import iterative_rounding
-from repro.art.lp_relaxation import art_lp_lower_bound
 from repro.art.pseudo_schedule import PseudoSchedule
 from repro.core.instance import Instance
 from repro.core.metrics import total_response_time
 from repro.core.schedule import Schedule
+from repro.lp.bounds import art_lower_bound
 from repro.utils.validation import check_positive_int
 
 
@@ -89,7 +89,7 @@ def solve_art(
     pseudo = iterative_rounding(instance, horizon=horizon)
     conversion = pseudo_to_schedule(pseudo, c=c, window=window)
     lower = (
-        art_lp_lower_bound(instance, horizon=horizon)
+        art_lower_bound(instance, horizon=horizon)
         if compute_lower_bound
         else None
     )

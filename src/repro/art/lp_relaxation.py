@@ -42,8 +42,6 @@ import numpy as np
 
 from repro.core.instance import Instance
 from repro.lp.model import LinearProgram, port_rows
-from repro.lp.solver import solve_lp
-from repro.utils.timing import measure
 from repro.utils.validation import check_positive_int
 
 #: Block length of the initial interval LP (the paper uses 4).
@@ -252,33 +250,6 @@ def build_fractional_art_lp(
         instance, lead[column_class], rounds, cost, rounds, 1,
         first_cover, num_cover, need, offset,
     )
-
-
-def art_lp_lower_bound(
-    instance: Instance, horizon: Optional[int] = None
-) -> float:
-    """Optimal value of LP (1)–(4): a lower bound on total response time.
-
-    Lemma 3.1: for any schedule σ, ``sum_e Delta_e* <= sum_e rho_e``.
-    This is the baseline the paper's Figure 6 plots against the
-    heuristics ("the optimal value of the linear program (1)-(4)").
-
-    The build and the solve record the phases ``lp_bound_build`` and
-    ``lp_bound_solve``, the names of the :mod:`repro.lp.bounds` oracle.
-    A ``horizon`` too short for LP (1)–(4) to be feasible raises
-    ``ValueError``; the default, ``instance.horizon_bound()``, never is.
-    """
-    if instance.num_flows == 0:
-        return 0.0
-    with measure("lp_bound_build"):
-        lp = build_fractional_art_lp(instance, horizon)
-    with measure("lp_bound_solve"):
-        result = solve_lp(lp)
-    if not result.is_feasible("LP (1)-(4)"):
-        raise ValueError(
-            f"horizon {horizon} is too short: LP (1)-(4) is infeasible"
-        )
-    return float(result.objective)
 
 
 def build_interval_lp0(

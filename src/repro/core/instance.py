@@ -360,9 +360,9 @@ class Instance:
         Computed over the sorted-key compact JSON of :meth:`to_dict`, so
         two instances with identical switch and flow data share a digest
         regardless of how they were constructed.  This is the cache key
-        used by the :mod:`repro.lp.bounds` solve caches and the sweep
-        result store (:mod:`repro.api.store`).  Memoized — the instance
-        is frozen, so the digest can never go stale.
+        of the result store (:mod:`repro.api.store`), which keeps
+        finished solver runs and LP bounds.  Memoized — the instance is
+        frozen, so the digest can never go stale.
         """
         cached = getattr(self, "_digest", None)
         if cached is None:

@@ -11,18 +11,16 @@
   ``scipy.optimize.linprog`` would set and picks the method itself:
   dual simplex (``highs-ds``) when a vertex solution is required, as in
   the iterative-rounding pipelines, HiGHS's own choice otherwise;
-* :mod:`repro.lp.bounds` — warm bound oracles for the sweep LPs: start
-  the ρ search at a port-load counting bound, build the model at most
-  once per instance (never when that bound meets the greedy cap), mutate
-  only the ρ-dependent bounds across the search, and memoise results by
-  canonical instance digest.
+* :mod:`repro.lp.bounds` — the sweep LPs' two lower bounds, one
+  function each: LP (1)–(4)'s optimum, and ρ* by a search that starts
+  at a port-load counting bound, builds the model at most once per
+  instance (never when that bound meets the greedy cap) and mutates
+  only the ρ-dependent bounds across the search.
 """
 
 from repro.lp.bounds import (
     LPBoundOracle,
     art_lower_bound,
-    cache_stats,
-    clear_bound_caches,
     counting_lower_bound,
     mrt_lower_bound,
 )
@@ -41,7 +39,5 @@ __all__ = [
     "LPBoundOracle",
     "mrt_lower_bound",
     "art_lower_bound",
-    "cache_stats",
-    "clear_bound_caches",
     "counting_lower_bound",
 ]

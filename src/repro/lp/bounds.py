@@ -1,9 +1,10 @@
-"""Warm LP-bound oracles with digest-keyed memoisation.
+"""The paper's two LP lower bounds, one function each.
 
 The Figure 6/7 sweeps spend most of their wall-clock in two LP lower
 bounds: the binary-searched feasibility LP (19)–(21) for maximum
-response and LP (1)–(4) for average response.  This module keeps both
-cheap:
+response and LP (1)–(4) for average response.  This module computes
+both, checking its parameters on every call and keeping no state
+between calls:
 
 * :func:`counting_lower_bound` is a lower bound on ρ* that needs no LP:
   the demand released at one port in a span of rounds must fit through
@@ -19,25 +20,20 @@ cheap:
   counted (``oracle.builds`` / ``oracle.solves``) and timed as the
   phases ``lp_bound_build`` and ``lp_bound_solve``
   (:func:`repro.utils.timing.measure`).
-* :func:`mrt_lower_bound` / :func:`art_lower_bound` wrap the two sweep
-  bounds behind an in-process solve cache keyed by the canonical
-  instance digest (:meth:`repro.core.instance.Instance.digest`), so
-  repeated bound queries for the same instance — across solvers,
-  benchmarks, or API calls in one process — are served without any LP
-  work.  :func:`cache_stats` / :func:`clear_bound_caches` expose and
-  reset the memo.
+* :func:`mrt_lower_bound` (Figure 7's ρ*) and :func:`art_lower_bound`
+  (Figure 6's LP (1)–(4) optimum) are the entry points of the two
+  bounds.
 
 The solves themselves go through :func:`repro.lp.solver.solve_lp`,
 which hands the model's arrays to HiGHS; neither bound needs a vertex.
 
-Cross-*process* reuse (resumable sweeps) is layered on top by the
-content-addressed result store in :mod:`repro.api.store`.
+Finished bounds are kept, across processes, by the content-addressed
+result store in :mod:`repro.api.store` (its ``lp:art_avg`` and
+``lp:mrt_max`` records).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, Optional
 
 import numpy as np
@@ -48,35 +44,6 @@ from repro.core.metrics import max_response_time
 from repro.lp.solver import solve_lp
 from repro.utils.timing import measure
 from repro.utils.validation import check_positive_int
-
-#: Entries kept per in-process cache (oldest evicted beyond this).
-CACHE_LIMIT = 1024
-
-_MRT_CACHE: "OrderedDict[tuple, int]" = OrderedDict()
-_ART_CACHE: "OrderedDict[tuple, float]" = OrderedDict()
-_STATS = {"hits": 0, "misses": 0}
-# Guards the caches and counters: lookups and insertions are
-# check-then-mutate sequences, which a threaded executor would race.
-_CACHE_LOCK = threading.Lock()
-
-
-def _lookup(cache: OrderedDict, key: tuple):
-    """``(found, value)`` under the lock, updating LRU order and stats."""
-    with _CACHE_LOCK:
-        if key in cache:
-            _STATS["hits"] += 1
-            cache.move_to_end(key)
-            return True, cache[key]
-        _STATS["misses"] += 1
-        return False, None
-
-
-def _remember(cache: OrderedDict, key: tuple, value) -> None:
-    with _CACHE_LOCK:
-        cache[key] = value
-        cache.move_to_end(key)
-        while len(cache) > CACHE_LIMIT:
-            cache.popitem(last=False)
 
 
 def counting_lower_bound(instance: Instance) -> int:
@@ -163,15 +130,15 @@ class LPBoundOracle:
         self._feasible: Dict[int, bool] = {}
         self._lp = None
         self._offsets = None
-        if instance.num_flows == 0:
-            self.rho_cap = 0
-            return
-        if rho_cap is None:
+        if rho_cap is not None:
+            rho_cap = check_positive_int(rho_cap, "rho_upper")
+        elif instance.num_flows:
             rho_cap = max_response_time(greedy_earliest_fit(instance))
             # The greedy schedule certifies feasibility at its own bound;
             # this memo entry is the only certificate a cap gets for free.
             self._feasible[rho_cap] = True
-        self.rho_cap = check_positive_int(rho_cap, "rho_upper")
+        # An empty instance's rho* is 0, with no search to cap.
+        self.rho_cap = rho_cap if instance.num_flows else 0
 
     def _build(self) -> None:
         # Deferred to dodge the repro.lp <-> repro.mrt import cycle: the
@@ -200,13 +167,12 @@ class LPBoundOracle:
         ``is_fractionally_feasible(from_response_bound(instance, rho))``
         without the per-query model build.  Only an INFEASIBLE solve
         means infeasible: any other non-optimal status raises
-        ``RuntimeError`` and is not memoised.
+        ``RuntimeError`` and is not memoised.  ``rho`` must be a positive
+        integer no larger than ``rho_cap``.
         """
+        rho = check_positive_int(rho, "rho")
         if self.instance.num_flows == 0:
             return True
-        rho = int(rho)
-        if rho < 1:
-            raise ValueError(f"rho must be positive, got {rho}")
         if rho > self.rho_cap:
             raise ValueError(
                 f"rho {rho} exceeds the oracle's cap {self.rho_cap}; "
@@ -267,74 +233,47 @@ class LPBoundOracle:
 
 
 def mrt_lower_bound(
-    instance: Instance,
-    rho_upper: Optional[int] = None,
-    use_cache: bool = True,
+    instance: Instance, rho_upper: Optional[int] = None
 ) -> int:
-    """Digest-memoised Figure 7 bound ρ* (LP (19)–(21), binary search).
+    """Figure 7's bound ρ*: the smallest ρ with LP (19)–(21) feasible.
 
-    Same value as :func:`repro.mrt.algorithm.fractional_mrt_lower_bound`;
-    repeated calls for an identical instance in one process return the
-    memoised answer without solving an LP.  ``use_cache=False``
-    (the Runner's ``--no-cache`` semantics) recomputes but still
-    refreshes the memo.  A ``rho_upper`` below ρ* raises ``ValueError``
-    (see :meth:`LPBoundOracle.lower_bound`).
+    Binary search by :class:`LPBoundOracle`: it starts at the port-load
+    floor, builds the LP at most once and changes only its ρ-dependent
+    bounds across the search.  ``rho_upper`` caps the search; it must
+    be a positive integer, and one below ρ* raises ``ValueError`` (see
+    :meth:`LPBoundOracle.lower_bound`).
     """
-    if instance.num_flows == 0:
-        return 0
-    key = (instance.digest(), rho_upper)
-    if use_cache:
-        found, value = _lookup(_MRT_CACHE, key)
-        if found:
-            return value
-    value = LPBoundOracle(instance, rho_cap=rho_upper).lower_bound()
-    _remember(_MRT_CACHE, key, value)
-    return value
+    return LPBoundOracle(instance, rho_cap=rho_upper).lower_bound()
 
 
 def art_lower_bound(
-    instance: Instance,
-    horizon: Optional[int] = None,
-    use_cache: bool = True,
+    instance: Instance, horizon: Optional[int] = None
 ) -> float:
-    """Digest-memoised Figure 6 bound: the optimum of LP (1)–(4).
+    """Figure 6's bound: the optimum of LP (1)–(4).
 
-    A caching wrapper over
-    :func:`repro.art.lp_relaxation.art_lp_lower_bound` (one
-    implementation, so the values cannot diverge), with the result cached
-    per (digest, horizon); a cold build and solve record the
-    phases ``lp_bound_build`` / ``lp_bound_solve``.
-    ``use_cache=False`` recomputes but still refreshes the memo.
+    Lemma 3.1: for any schedule σ, ``sum_e Delta_e* <= sum_e rho_e``.
+    This is the baseline the paper's Figure 6 plots against the
+    heuristics ("the optimal value of the linear program (1)-(4)").
+
+    The build and the solve record the phases ``lp_bound_build`` and
+    ``lp_bound_solve``, as the ρ* oracle's do.  A ``horizon`` too short
+    for LP (1)–(4) to be feasible raises ``ValueError``; the default,
+    ``instance.horizon_bound()``, never is.
     """
-    from repro.art.lp_relaxation import art_lp_lower_bound
+    # Deferred to dodge the repro.lp <-> repro.art import cycle: the art
+    # modules import repro.lp.model/solver at module level.
+    from repro.art.lp_relaxation import build_fractional_art_lp
 
     if instance.num_flows == 0:
+        if horizon is not None:
+            check_positive_int(horizon, "horizon")
         return 0.0
-    key = (instance.digest(), horizon)
-    if use_cache:
-        found, value = _lookup(_ART_CACHE, key)
-        if found:
-            return value
-    value = art_lp_lower_bound(instance, horizon=horizon)
-    _remember(_ART_CACHE, key, value)
-    return value
-
-
-def cache_stats() -> Dict[str, int]:
-    """Hit/miss counters and entry counts of the in-process bound caches."""
-    with _CACHE_LOCK:
-        return {
-            "hits": _STATS["hits"],
-            "misses": _STATS["misses"],
-            "mrt_entries": len(_MRT_CACHE),
-            "art_entries": len(_ART_CACHE),
-        }
-
-
-def clear_bound_caches() -> None:
-    """Drop every memoised bound and reset the hit/miss counters."""
-    with _CACHE_LOCK:
-        _MRT_CACHE.clear()
-        _ART_CACHE.clear()
-        _STATS["hits"] = 0
-        _STATS["misses"] = 0
+    with measure("lp_bound_build"):
+        lp = build_fractional_art_lp(instance, horizon)
+    with measure("lp_bound_solve"):
+        result = solve_lp(lp)
+    if not result.is_feasible("LP (1)-(4)"):
+        raise ValueError(
+            f"horizon {horizon} is too short: LP (1)-(4) is infeasible"
+        )
+    return float(result.objective)

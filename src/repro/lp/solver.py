@@ -31,13 +31,12 @@ method that answered.
 models.  The tests call it directly as an independent reference for
 HiGHS; no program path does.
 
-Repeated nearby solves — the ρ binary search of Figure 7, or repeated
-bound queries for one instance — should not call :func:`solve_lp` with a
-freshly built model each time.  Use the oracle path instead:
-:class:`repro.lp.bounds.LPBoundOracle` builds the time-constrained LP
-once and re-solves it under mutated ρ-dependent bounds, and the
-module-level helpers in :mod:`repro.lp.bounds` memoise finished bounds
-by canonical instance digest.  Every oracle query still lands here.
+Repeated nearby solves — the ρ binary search of Figure 7 — should not
+call :func:`solve_lp` with a freshly built model each time.  Use the
+oracle path instead: :class:`repro.lp.bounds.LPBoundOracle` builds the
+time-constrained LP once and re-solves it under mutated ρ-dependent
+bounds.  Every oracle query still lands here; finished bounds are kept
+across runs by the result store (:mod:`repro.api.store`).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ and colorings can be mapped back to flows.
 
 Storage is columnar: two append-buffered ``int64`` arrays (``src``/``dst``,
 grown geometrically) plus a payload list, with derived structure —
-degrees, Δ, and a CSR adjacency per side — built lazily on first use and
-invalidated by any mutation.  This keeps ``add_edge`` O(1) amortized,
+degrees, Δ, and a CSR adjacency over the left vertices — built lazily on
+first use and invalidated by any mutation.  This keeps ``add_edge`` O(1) amortized,
 degree queries a single ``np.bincount``, and lets the matching/coloring
 kernels and the online simulator consume flat arrays instead of Python
 tuple lists.
@@ -92,7 +92,6 @@ class BipartiteMultigraph:
         "_n_edges",
         "_payloads",
         "_csr_left",
-        "_csr_right",
         "_degrees",
     )
 
@@ -104,7 +103,6 @@ class BipartiteMultigraph:
         self._n_edges = 0
         self._payloads: List[Any] = []
         self._csr_left: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._csr_right: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._degrees: Optional[Tuple[np.ndarray, np.ndarray, int]] = None
 
     # ------------------------------------------------------------------
@@ -113,7 +111,6 @@ class BipartiteMultigraph:
 
     def _invalidate(self) -> None:
         self._csr_left = None
-        self._csr_right = None
         self._degrees = None
 
     def _reserve(self, extra: int) -> None:
@@ -274,14 +271,6 @@ class BipartiteMultigraph:
             )
         return self._csr_left
 
-    def csr_right(self) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR adjacency over right vertices: ``(indptr, eids)``."""
-        if self._csr_right is None:
-            self._csr_right = self._build_csr(
-                self._dst[: self._n_edges], self.n_right
-            )
-        return self._csr_right
-
     @staticmethod
     def _build_csr(keys: np.ndarray, n_vertices: int) -> Tuple[np.ndarray, np.ndarray]:
         counts = np.bincount(keys, minlength=n_vertices)
@@ -289,22 +278,6 @@ class BipartiteMultigraph:
         np.cumsum(counts, out=indptr[1:])
         order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
         return indptr, order
-
-    def adjacency_left(self) -> List[List[int]]:
-        """``adj[u]`` = edge ids incident on left vertex ``u``."""
-        indptr, eids = self.csr_left()
-        lst = eids.tolist()
-        return [
-            lst[indptr[u] : indptr[u + 1]] for u in range(self.n_left)
-        ]
-
-    def adjacency_right(self) -> List[List[int]]:
-        """``adj[v]`` = edge ids incident on right vertex ``v``."""
-        indptr, eids = self.csr_right()
-        lst = eids.tolist()
-        return [
-            lst[indptr[v] : indptr[v + 1]] for v in range(self.n_right)
-        ]
 
     # ------------------------------------------------------------------
     # Derived graphs

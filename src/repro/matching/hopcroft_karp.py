@@ -302,11 +302,6 @@ def _hk_rows(
     return {u: pay_left[u] for u in range(n_left) if match_left[u] != -1}
 
 
-def matching_edge_ids(graph: BipartiteMultigraph) -> List[int]:
-    """Convenience wrapper: the edge ids of a maximum matching."""
-    return sorted(max_cardinality_matching(graph).values())
-
-
 def maximum_matching_size(graph: BipartiteMultigraph) -> int:
     """Size of a maximum matching."""
     return len(max_cardinality_matching(graph))

@@ -68,16 +68,15 @@ def solve_mrt(
     -------
     MRTResult
     """
+    # The oracle checks rho_upper, starts the search at the port-load
+    # floor and builds LP (19)-(21) only if a probe needs a solve; each
+    # probe only toggles the rho-dependent variable bounds of that model.
+    oracle = LPBoundOracle(instance, rho_cap=rho_upper)
     if instance.num_flows == 0:
         import numpy as np
 
         empty = Schedule(instance, np.zeros(0, dtype=np.int64))
         return MRTResult(0, empty, 0, 0, 0, 0)
-
-    # The oracle starts the search at the port-load floor and builds
-    # LP (19)-(21) only if a probe needs a solve; each probe only toggles
-    # the rho-dependent variable bounds of that one model.
-    oracle = LPBoundOracle(instance, rho_cap=rho_upper)
     rho = oracle.lower_bound()
     lp_solves = oracle.solves
 
@@ -106,20 +105,3 @@ def schedule_time_constrained(tci: TimeConstrainedInstance) -> RoundingResult:
     (Theorem 3 verbatim, including the Remark 4.2 deadline model).
     """
     return round_time_constrained(tci)
-
-
-def fractional_mrt_lower_bound(
-    instance: Instance, rho_upper: Optional[int] = None
-) -> int:
-    """Just the binary-searched LP lower bound ρ* (Figure 7 baseline).
-
-    Delegates to :class:`repro.lp.bounds.LPBoundOracle`: the search
-    starts at the port-load floor, the LP is built at most once and only
-    its ρ-dependent bounds change across the search, and a
-    ``rho_upper`` below ρ* raises ``ValueError``.  Callers that want
-    in-process memoisation across repeated queries should use
-    :func:`repro.lp.bounds.mrt_lower_bound` instead.
-    """
-    if instance.num_flows == 0:
-        return 0
-    return LPBoundOracle(instance, rho_cap=rho_upper).lower_bound()

@@ -32,7 +32,8 @@ class ServiceError(RuntimeError):
     ``code`` is the structured protocol error code (``"timeout"``,
     ``"queue-full"``, …) or ``"transport"`` when the HTTP exchange
     itself failed; ``retry_after`` is the server's backoff hint, when
-    it sent one.
+    it sent one.  ``error`` is the server's error body, or for a
+    transport failure one built from the message.
     """
 
     def __init__(
@@ -46,15 +47,18 @@ class ServiceError(RuntimeError):
         self.code = code
         self.status = status
         self.retry_after = retry_after
+        self.error = ErrorInfo(code, message, retry_after)
 
     @staticmethod
     def from_error(info: ErrorInfo, status: Optional[int]) -> "ServiceError":
-        return ServiceError(
+        exc = ServiceError(
             f"[{info.code}] {info.message}",
             code=info.code,
             status=status,
             retry_after=info.retry_after,
         )
+        exc.error = info
+        return exc
 
 
 class ServiceClient:

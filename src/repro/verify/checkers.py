@@ -396,11 +396,10 @@ def _oracle_bound(name: str, instance: Instance, params: Mapping[str, Any]):
     """Independently recompute the claimed bound ``name`` for ``instance``.
 
     Honors the parameters that change the bound's value (the ART LP
-    horizon, the MRT search cap); both oracles are digest-memoised in
-    :mod:`repro.lp.bounds`, so repeated certification of one instance
-    does no extra LP work.  The MRT cap is checked, not trusted: a
-    ``rho_upper`` below ρ* raises ``ValueError`` instead of coming back
-    as the bound.
+    horizon, the MRT search cap) and computes it through
+    :mod:`repro.lp.bounds`, so each call builds and solves its LP.  The
+    MRT cap is checked, not trusted: a ``rho_upper`` below ρ* raises
+    ``ValueError`` instead of coming back as the bound.
     """
     from repro.lp.bounds import art_lower_bound, mrt_lower_bound
 
@@ -418,7 +417,7 @@ def _oracle_bound(name: str, instance: Instance, params: Mapping[str, Any]):
 def check_lp_certificate(
     solve_report,
     instance: Optional[Instance] = None,
-    recompute: bool = True,
+    recompute: "bool | Mapping[str, float]" = True,
     rtol: float = DEFAULT_RTOL,
     subject: Optional[str] = None,
 ) -> VerificationReport:
@@ -434,7 +433,10 @@ def check_lp_certificate(
     * ``oracle:<name>`` — with ``recompute=True`` and an instance in
       hand (passed explicitly or embedded in the report's schedule),
       each claimed bound matches an independent recomputation through
-      :mod:`repro.lp.bounds` within ``rtol``;
+      :mod:`repro.lp.bounds` within ``rtol``.  ``recompute`` may instead
+      map bound names to values the caller already computed through
+      :mod:`repro.lp.bounds` for the report's parameters; a name it
+      lacks is not checked.  ``False`` skips the check;
     * ``guarantee:<solver>`` — solver-specific theorem guarantees:
       FS-MRT's schedule responds within ρ* using at most
       ``2 d_max - 1`` extra capacity (Theorem 3); FS-ART's reported
@@ -461,7 +463,11 @@ def check_lp_certificate(
             solve_report.solver, rtol,
         )
         if recompute and instance is not None:
-            oracle = _oracle_bound(name, instance, solve_report.params)
+            oracle = (
+                recompute.get(name)
+                if isinstance(recompute, Mapping)
+                else _oracle_bound(name, instance, solve_report.params)
+            )
             if oracle is not None:
                 report.ran(f"oracle:{name}")
                 report.stats[f"oracle:{name}"] = oracle

@@ -205,8 +205,9 @@ class TestExecutors:
                           MultiprocessingExecutor)
         custom = SerialExecutor()
         assert make_executor(custom) is custom
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("gpu")
+        for name in ("gpu", "mp", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(name)
 
     def test_order_preserved(self):
         items = list(range(17))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.api import get_solver
 from repro.art.lp_relaxation import (
     BLOCK,
-    art_lp_lower_bound,
     build_fractional_art_lp,
     build_interval_lp0,
 )
@@ -20,6 +19,7 @@ from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import total_response_time
 from repro.core.switch import Switch
+from repro.lp.bounds import art_lower_bound
 from repro.lp.solver import solve_lp
 from repro.mrt.exact import exact_min_total_response
 from repro.workloads.synthetic import poisson_uniform_workload
@@ -297,7 +297,7 @@ class TestLPConstruction:
 
 class TestLowerBound:
     def test_empty_instance(self):
-        assert art_lp_lower_bound(Instance.create(Switch.create(1), [])) == 0.0
+        assert art_lower_bound(Instance.create(Switch.create(1), [])) == 0.0
 
     def test_horizon_too_short_is_value_error(self):
         inst = Instance.create(Switch.create(1), [Flow(0, 0)] * 5)
@@ -305,8 +305,8 @@ class TestLowerBound:
             ValueError,
             match=r"horizon 4 is too short: LP \(1\)-\(4\) is infeasible",
         ):
-            art_lp_lower_bound(inst, horizon=4)
-        assert art_lp_lower_bound(inst, horizon=5) > 0
+            art_lower_bound(inst, horizon=4)
+        assert art_lower_bound(inst, horizon=5) > 0
 
     def test_parallel_flows_bound_is_n(self):
         # n conflict-free unit flows: every response is exactly 1 and the
@@ -314,7 +314,7 @@ class TestLowerBound:
         inst = Instance.create(
             Switch.create(3), [Flow(0, 0), Flow(1, 1), Flow(2, 2)]
         )
-        lb = art_lp_lower_bound(inst)
+        lb = art_lower_bound(inst)
         assert 0 < lb <= 3
 
     @given(unit_instances(max_ports=3, max_flows=5))
@@ -324,7 +324,7 @@ class TestLowerBound:
         response, in particular the optimum."""
         if inst.num_flows == 0:
             return
-        lb = art_lp_lower_bound(inst)
+        lb = art_lower_bound(inst)
         opt = exact_min_total_response(inst)
         assert lb <= opt + 1e-6
 
@@ -333,7 +333,7 @@ class TestLowerBound:
     def test_lower_bounds_greedy(self, inst):
         if inst.num_flows == 0:
             return
-        lb = art_lp_lower_bound(inst)
+        lb = art_lower_bound(inst)
         assert lb <= total_response_time(greedy_earliest_fit(inst)) + 1e-6
 
     @given(unit_instances(max_ports=3, max_flows=5))
@@ -341,8 +341,8 @@ class TestLowerBound:
     def test_compact_horizon_preserves_bound(self, inst):
         if inst.num_flows == 0:
             return
-        full = art_lp_lower_bound(inst)
-        compact = art_lp_lower_bound(
+        full = art_lower_bound(inst)
+        compact = art_lower_bound(
             inst, horizon=inst.compact_horizon_bound()
         )
         assert compact == pytest.approx(full, abs=1e-6)

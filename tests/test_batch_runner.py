@@ -30,17 +30,14 @@ from repro.api.runner import (
 )
 from repro.api.store import ResultStore, close_open_stores
 from repro.experiments.config import ExperimentConfig
-from repro.lp.bounds import clear_bound_caches
 from repro.online.policies import POLICY_REGISTRY
 from repro.scenarios import list_scenarios, parse_scenario
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    clear_bound_caches()
     close_open_stores()
     yield
-    clear_bound_caches()
     close_open_stores()
 
 
@@ -170,15 +167,6 @@ class TestPutMany:
         close_open_stores()
         assert ResultStore(tmp_path).get("S", "d1", {}) == {"v": "new"}
 
-    def test_get_many_orders_and_counts_like_get(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put_many([("S", "d1", {}, {"v": 1}), ("S", "d2", {}, {"v": 2})])
-        got = store.get_many(
-            [("S", "d2", {}), ("S", "missing", {}), ("S", "d1", {})]
-        )
-        assert got == [{"v": 2}, None, {"v": 1}]
-        assert store.hits == 2 and store.misses == 1
-
 
 ALL_POLICIES = tuple(sorted(POLICY_REGISTRY))
 
@@ -225,7 +213,6 @@ class TestRunBatchEquivalence:
         ]
         serial = run_each(serial_items)
         close_open_stores()
-        clear_bound_caches()
         batched = run_batch(BatchWorkItem(tuple(batch_items)))
         assert [result_payload(tr) for tr in batched] == [
             result_payload(tr) for tr in serial
@@ -392,7 +379,6 @@ class TestInterruptedBatchedSweep:
             )
         (ctrl / "armed").unlink()
         close_open_stores()
-        clear_bound_caches()
         resumed = runner(cache, executor="multiprocessing", jobs=2).run(
             **run_kwargs
         )

@@ -15,23 +15,19 @@ from repro.api.store import (
     open_store,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.lp.bounds import clear_bound_caches
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    # The in-process bound memo and store memo would mask disk-cache
-    # misses; clear both so every test observes the on-disk store alone.
-    clear_bound_caches()
+    # The store memo would mask disk-cache misses; clear it so every
+    # test observes the on-disk store alone.
     close_open_stores()
     yield
-    clear_bound_caches()
     close_open_stores()
 
 
 def cold_memos():
     """Force the next Runner call to reload everything from disk."""
-    clear_bound_caches()
     close_open_stores()
 
 
@@ -180,8 +176,8 @@ class TestCachedSweeps:
 
     def test_resume_false_bypasses_in_process_memo(self, tmp_path):
         # Regression: without clearing any memo, a resume=False rerun in
-        # the same process must re-solve the LP bounds — the digest memo
-        # honors the Runner's use_cache flag, mirroring the disk store.
+        # the same process must re-solve the LP bounds: the bounds keep
+        # no state between calls, and resume=False skips the store.
         config = tiny_config()
         warmed = Runner(config, cache_dir=tmp_path).run()
         assert warmed.timer.counts.get("lp_bound_solve", 0) > 0

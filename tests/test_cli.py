@@ -273,12 +273,9 @@ class TestCommands:
                   "--resume", "--no-cache"])
 
     def test_fig7_cache_dir_roundtrip(self, tmp_path, capsys):
-        from repro.lp.bounds import clear_bound_caches
-
         cache = str(tmp_path / "cache")
         assert main(["fig7", "--quick", "--cache-dir", cache]) == 0
         first = capsys.readouterr().out
-        clear_bound_caches()
         assert main(["fig7", "--quick", "--cache-dir", cache]) == 0
         second = capsys.readouterr().out
         assert first == second  # cache-warm rerun renders identically
@@ -699,6 +696,22 @@ class TestServiceCommands:
             response = json.loads(capsys.readouterr().out)
             assert response["source"] == "cache"
             assert response["report"]["solver"] == "Greedy"
+            # An error response is structured JSON too, besides the
+            # stderr line and exit status 1 (SystemExit with a message).
+            with pytest.raises(SystemExit) as excinfo:
+                main([
+                    "submit", "--address", svc.address,
+                    "--scenario", "paper-default:ports=4,mean=4,horizon=3",
+                    "--solver", "FS-ART", "-p", "horizon=2.5", "--json",
+                ])
+            assert str(excinfo.value.code).startswith(
+                "error: [solver-error] "
+            )
+            response = json.loads(capsys.readouterr().out)
+            assert response["status"] == "error"
+            assert response["error"]["code"] == "solver-error"
+            assert "horizon must be an integer" in response["error"]["message"]
+            assert response["http_status"] == 500
 
 
 class TestBenchCommand:

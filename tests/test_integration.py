@@ -20,8 +20,7 @@ from repro import (
     total_response_time,
     validate_schedule,
 )
-from repro.art.lp_relaxation import art_lp_lower_bound
-from repro.mrt.algorithm import fractional_mrt_lower_bound
+from repro.lp.bounds import art_lower_bound, mrt_lower_bound
 from repro.mrt.exact import exact_min_max_response, exact_min_total_response
 from tests.conftest import unit_instances
 
@@ -35,7 +34,7 @@ class TestBoundChains:
         """LP(1-4) <= OPT <= heuristics and greedy (total response)."""
         if inst.num_flows == 0:
             return
-        lb = art_lp_lower_bound(inst)
+        lb = art_lower_bound(inst)
         opt = exact_min_total_response(inst)
         assert lb <= opt + 1e-6
         for name in ("MaxCard", "MinRTime", "MaxWeight"):
@@ -49,7 +48,7 @@ class TestBoundChains:
         """LP(19-21) rho* <= OPT <= heuristics (max response)."""
         if inst.num_flows == 0:
             return
-        rho_lp = fractional_mrt_lower_bound(inst)
+        rho_lp = mrt_lower_bound(inst)
         opt = exact_min_max_response(inst)
         assert rho_lp <= opt
         for name in ("MaxCard", "MinRTime", "MaxWeight"):
@@ -96,7 +95,7 @@ class TestEndToEndOnWorkloads:
         """The offline LP bound is never above any online policy."""
         for seed in (1, 2, 3):
             inst = poisson_uniform_workload(5, 6, 4, seed=seed)
-            rho = fractional_mrt_lower_bound(inst)
+            rho = mrt_lower_bound(inst)
             for name in ("MaxCard", "MinRTime", "MaxWeight"):
                 sim = simulate(inst, make_policy(name))
                 assert rho <= sim.metrics.max_response

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.api import get_solver
-from repro.art.lp_relaxation import art_lp_lower_bound
 from repro.core.flow import Flow
 from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
@@ -14,28 +13,19 @@ from repro.lp import bounds as bounds_module
 from repro.lp.bounds import (
     LPBoundOracle,
     art_lower_bound,
-    cache_stats,
-    clear_bound_caches,
     counting_lower_bound,
     mrt_lower_bound,
 )
 from repro.lp.result import LPResult, LPStatus
 from repro.mrt import lp_relaxation as mrt_lp_module
 from repro.mrt import rounding as rounding_module
-from repro.mrt.algorithm import fractional_mrt_lower_bound, solve_mrt
+from repro.mrt.algorithm import solve_mrt
 from repro.mrt.exact import exact_min_max_response
 from repro.mrt.lp_relaxation import is_fractionally_feasible
 from repro.mrt.time_constrained import from_response_bound
 from repro.utils.timing import Timer
 from repro.workloads.synthetic import poisson_uniform_workload
 from tests.conftest import capacitated_instances, unit_instances
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_bound_caches()
-    yield
-    clear_bound_caches()
 
 
 @pytest.fixture(scope="module")
@@ -121,15 +111,27 @@ class TestLPBoundOracle:
 
     def test_lower_bound_matches_legacy_search(self, instance):
         assert LPBoundOracle(instance).lower_bound() == (
-            fractional_mrt_lower_bound(instance)
+            rho_star_from_one(instance)
         )
 
     def test_out_of_range_rho_rejected(self, instance):
         oracle = LPBoundOracle(instance, rho_cap=3)
         with pytest.raises(ValueError, match="exceeds"):
             oracle.is_feasible(4)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="rho must be >= 1, got 0"):
             oracle.is_feasible(0)
+
+    @pytest.mark.parametrize(
+        "rho, kind", [(3.9, "float"), ("3", "str"), (True, "bool")]
+    )
+    def test_non_integer_rho_rejected(self, open_instance, rho, kind):
+        # Truncating 3.9, or coercing "3" or True, would answer for rho 3.
+        oracle = LPBoundOracle(open_instance)
+        with pytest.raises(
+            TypeError, match=f"rho must be an integer, got {kind}"
+        ):
+            oracle.is_feasible(rho)
+        assert oracle.solves == 0
 
     def test_empty_instance(self):
         empty = Instance.create(Switch.create(2), [])
@@ -182,7 +184,7 @@ class TestLPBoundOracle:
     )
     def test_property_lower_bound_equals_legacy(self, inst):
         assert LPBoundOracle(inst).lower_bound() == (
-            fractional_mrt_lower_bound(inst)
+            rho_star_from_one(inst) if inst.num_flows else 0
         )
 
 
@@ -253,9 +255,9 @@ class TestCallerCap:
 
     def test_cap_below_floor_rejected(self, instance):
         with pytest.raises(ValueError, match="rho_upper 1 .* bound 4"):
-            mrt_lower_bound(instance, rho_upper=1, use_cache=False)
+            mrt_lower_bound(instance, rho_upper=1)
         with pytest.raises(ValueError, match="rho_upper 2 .* bound 4"):
-            fractional_mrt_lower_bound(instance, rho_upper=2)
+            LPBoundOracle(instance, rho_cap=2).lower_bound()
 
     def test_infeasible_cap_above_floor_rejected(self, gap_instance):
         oracle = LPBoundOracle(gap_instance, rho_cap=2)
@@ -271,38 +273,12 @@ class TestCallerCap:
 
     def test_loose_cap_gives_rho_star(self, gap_instance):
         assert mrt_lower_bound(gap_instance, rho_upper=9) == 3
-        assert fractional_mrt_lower_bound(gap_instance, rho_upper=3) == 3
+        assert mrt_lower_bound(gap_instance, rho_upper=3) == 3
 
 
 class TestDigestMemo:
-    def test_mrt_cache_hit(self, instance):
-        cold = mrt_lower_bound(instance)
-        before = cache_stats()
-        warm = mrt_lower_bound(instance)
-        after = cache_stats()
-        assert warm == cold
-        assert after["hits"] == before["hits"] + 1
-
-    def test_art_cache_hit_and_value(self, instance):
-        horizon = instance.compact_horizon_bound()
-        value = art_lower_bound(instance, horizon=horizon)
-        assert value == art_lp_lower_bound(instance, horizon=horizon)
-        before = cache_stats()
-        assert art_lower_bound(instance, horizon=horizon) == value
-        assert cache_stats()["hits"] == before["hits"] + 1
-
-    def test_distinct_params_distinct_entries(self, instance):
-        art_lower_bound(instance, horizon=instance.compact_horizon_bound())
-        art_lower_bound(instance, horizon=instance.horizon_bound())
-        assert cache_stats()["art_entries"] == 2
-
-    def test_clear_resets(self, instance):
-        mrt_lower_bound(instance)
-        clear_bound_caches()
-        stats = cache_stats()
-        assert stats == {
-            "hits": 0, "misses": 0, "mrt_entries": 0, "art_entries": 0,
-        }
+    """The memoised instance digest (the result store's key), and the
+    bounds of an empty instance."""
 
     def test_empty_instance_bounds(self):
         empty = Instance.create(Switch.create(2), [])
@@ -317,47 +293,43 @@ class TestDigestMemo:
         clone = Instance.from_dict(a.to_dict())
         assert clone.digest() == a.digest()
 
-    def test_cache_served_without_lp_work(self, instance):
-        mrt_lower_bound(instance)
-        timer = Timer()
-        with timer.recording():
-            mrt_lower_bound(instance)
-        assert timer.counts.get("lp_bound_build", 0) == 0
-        assert timer.counts.get("lp_bound_solve", 0) == 0
 
-    def test_memo_is_thread_safe(self):
-        # Concurrent lookups/insertions with a tiny CACHE_LIMIT force the
-        # check-then-mutate races the cache lock exists to prevent.
-        import threading
+class TestStatelessBounds:
+    """The bounds keep nothing between calls and check every call."""
 
-        from repro.lp import bounds as bounds_module
+    # A float or bool equals its integer as a dict key, so a bound that
+    # remembered the integer call's answer would return it for 50.0.
+    def test_float_cap_rejected_after_equal_int(self):
+        inst = poisson_uniform_workload(4, 3.0, 3, seed=0)
+        assert mrt_lower_bound(inst, rho_upper=50) == 4
+        with pytest.raises(TypeError, match="rho_upper must be an integer"):
+            mrt_lower_bound(inst, rho_upper=50.0)
 
-        instances = [
-            poisson_uniform_workload(3, 2.0, 2, seed=s) for s in range(6)
-        ]
-        expected = {i: mrt_lower_bound(inst) for i, inst in enumerate(instances)}
-        clear_bound_caches()
-        old_limit, bounds_module.CACHE_LIMIT = bounds_module.CACHE_LIMIT, 2
-        failures = []
+    def test_float_horizon_rejected_after_equal_int(self):
+        inst = poisson_uniform_workload(4, 3.0, 3, seed=0)
+        assert art_lower_bound(inst, horizon=10) == 11.5
+        with pytest.raises(TypeError, match="horizon must be an integer"):
+            art_lower_bound(inst, horizon=10.0)
 
-        def worker():
-            for _ in range(20):
-                for i, inst in enumerate(instances):
-                    try:
-                        if mrt_lower_bound(inst) != expected[i]:
-                            failures.append(i)
-                    except Exception as exc:  # KeyError under the old race
-                        failures.append(exc)
+    def test_empty_instance_checks_parameters(self):
+        empty = Instance.create(Switch.create(2), [])
+        with pytest.raises(TypeError, match="rho_upper must be an integer"):
+            mrt_lower_bound(empty, rho_upper=2.5)
+        with pytest.raises(ValueError, match="rho_upper must be >= 1"):
+            mrt_lower_bound(empty, rho_upper=0)
+        with pytest.raises(TypeError, match="horizon must be an integer"):
+            art_lower_bound(empty, horizon=2.5)
+        assert mrt_lower_bound(empty, rho_upper=3) == 0
+        assert art_lower_bound(empty, horizon=3) == 0.0
 
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            bounds_module.CACHE_LIMIT = old_limit
-        assert failures == []
+    def test_each_call_does_its_lp_work(self, open_instance):
+        first, second = Timer(), Timer()
+        for timer in (first, second):
+            with timer.recording():
+                mrt_lower_bound(open_instance)
+                art_lower_bound(open_instance)
+        assert first.counts["lp_bound_build"] == 2
+        assert second.counts == first.counts
 
 
 #: rho* and the LP (1)-(4) optimum (compact horizon) of fig-lp-shaped

@@ -528,9 +528,7 @@ class TestNoLinprog:
 
     def test_fig6_quick_with_lp_bounds(self, capsys):
         from repro.__main__ import main
-        from repro.lp.bounds import clear_bound_caches
 
-        clear_bound_caches()
         assert main(["fig6", "--quick"]) in (0, None)
         assert "LP" in capsys.readouterr().out
 

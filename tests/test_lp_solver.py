@@ -168,7 +168,6 @@ class TestBackendAgreementProperty:
 #: picked the LP method.
 FORMER_BACKEND_TAKERS = {
     "repro.lp.solver:solve_lp",
-    "repro.art.lp_relaxation:art_lp_lower_bound",
     "repro.art.iterative_rounding:iterative_rounding",
     "repro.art.algorithm:solve_art",
     "repro.mrt.lp_relaxation:solve_fractional",
@@ -176,7 +175,6 @@ FORMER_BACKEND_TAKERS = {
     "repro.mrt.rounding:round_time_constrained",
     "repro.mrt.algorithm:solve_mrt",
     "repro.mrt.algorithm:schedule_time_constrained",
-    "repro.mrt.algorithm:fractional_mrt_lower_bound",
     "repro.lp.bounds:LPBoundOracle.__init__",
     "repro.lp.bounds:mrt_lower_bound",
     "repro.lp.bounds:art_lower_bound",

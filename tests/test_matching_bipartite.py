@@ -53,15 +53,6 @@ class TestDegreesAndAdjacency:
     def test_max_degree_empty(self):
         assert BipartiteMultigraph(3, 3).max_degree() == 0
 
-    def test_adjacency_left(self):
-        adj = self._graph().adjacency_left()
-        assert adj[0] == [0, 1, 3]
-        assert adj[2] == []
-
-    def test_adjacency_right(self):
-        adj = self._graph().adjacency_right()
-        assert adj[0] == [0, 2, 3]
-
     def test_subgraph(self):
         sub = self._graph().subgraph([1, 2])
         assert sub.n_edges == 2
@@ -99,11 +90,9 @@ class TestArrayBacking:
             3, 2, [(0, 0), (2, 1), (0, 1), (1, 0), (0, 0)]
         )
         indptr, eids = g.csr_left()
-        adj = g.adjacency_left()
-        for u in range(3):
-            assert eids[indptr[u]:indptr[u + 1]].tolist() == adj[u]
         # CSR is in insertion order per vertex (stable sort).
-        assert adj[0] == [0, 2, 4]
+        assert indptr.tolist() == [0, 3, 4, 5]
+        assert eids.tolist() == [0, 2, 4, 3, 1]
 
     def test_caches_invalidate_on_mutation(self):
         g = BipartiteMultigraph(2, 2)

@@ -9,11 +9,8 @@ from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
 from repro.core.schedule import validate_schedule
 from repro.core.switch import Switch
-from repro.mrt.algorithm import (
-    fractional_mrt_lower_bound,
-    schedule_time_constrained,
-    solve_mrt,
-)
+from repro.lp.bounds import mrt_lower_bound
+from repro.mrt.algorithm import schedule_time_constrained, solve_mrt
 from repro.mrt.exact import exact_min_max_response
 from repro.mrt.time_constrained import from_deadlines
 from tests.conftest import capacitated_instances, unit_instances
@@ -23,6 +20,12 @@ class TestSolveMRT:
     def test_empty_instance(self):
         res = solve_mrt(Instance.create(Switch.create(1), []))
         assert res.rho == 0
+
+    def test_empty_instance_checks_rho_upper(self):
+        empty = Instance.create(Switch.create(1), [])
+        with pytest.raises(TypeError, match="rho_upper must be an integer"):
+            solve_mrt(empty, rho_upper=2.5)
+        assert solve_mrt(empty, rho_upper=2).rho == 0
 
     def test_parallel_flows_rho_one(self):
         inst = Instance.create(
@@ -84,10 +87,10 @@ class TestLowerBoundAndDeadlines:
         inst = Instance.create(
             Switch.create(3), [Flow(0, 0), Flow(1, 0), Flow(2, 0)]
         )
-        assert fractional_mrt_lower_bound(inst) == solve_mrt(inst).rho
+        assert mrt_lower_bound(inst) == solve_mrt(inst).rho
 
     def test_fractional_bound_empty(self):
-        assert fractional_mrt_lower_bound(
+        assert mrt_lower_bound(
             Instance.create(Switch.create(1), [])
         ) == 0
 

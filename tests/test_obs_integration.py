@@ -109,12 +109,12 @@ class TestTracedSweep:
         assert set(sweep.cells) == set(run_sweep(config).cells)
 
     def test_fixed_seed_span_log_is_stable_modulo_timestamps(self, tmp_path):
-        # LP bounds cache in-process, which would legitimately change
-        # the second run's work; policies alone are cache-free.
+        # The LP bounds keep no state between calls, so the second run
+        # does the first run's work, bounds included.
         config = tiny_config()
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run_sweep(config, compute_lp_bounds=False, trace=str(a))
-        run_sweep(config, compute_lp_bounds=False, trace=str(b))
+        run_sweep(config, trace=str(a))
+        run_sweep(config, trace=str(b))
         assert stripped(read_spans(str(a))) == stripped(read_spans(str(b)))
 
     def test_traced_sweep_populates_shared_registry(self, tmp_path):

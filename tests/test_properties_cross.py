@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.art.lp_relaxation import art_lp_lower_bound
 from repro.core.flow import Flow
 from repro.core.instance import Instance
 from repro.core.metrics import max_response_time, response_times
 from repro.core.switch import Switch
+from repro.lp.bounds import art_lower_bound, mrt_lower_bound
 from repro.matching.bipartite import BipartiteMultigraph
 from repro.matching.bvn import decompose_into_matchings
 from repro.matching.hopcroft_karp import maximum_matching_size
 from repro.matching.vertex_cover import minimum_vertex_cover
-from repro.mrt.algorithm import fractional_mrt_lower_bound, solve_mrt
+from repro.mrt.algorithm import solve_mrt
 from repro.mrt.time_constrained import from_response_bound
 from repro.online.policies import make_policy
 from repro.online.simulator import simulate
@@ -70,7 +70,7 @@ class TestSchedulingMonotonicity:
             list(inst.flows) + [Flow(port % m, (port + 1) % m, 1, 0)],
         )
         assert (
-            art_lp_lower_bound(bigger) >= art_lp_lower_bound(inst) - 1e-9
+            art_lower_bound(bigger) >= art_lower_bound(inst) - 1e-9
         )
 
     @given(unit_instances(max_ports=3, max_flows=6))
@@ -79,8 +79,8 @@ class TestSchedulingMonotonicity:
         """Shifting all releases back uniformly cannot change rho*."""
         if inst.num_flows == 0:
             return
-        base = fractional_mrt_lower_bound(inst)
-        shifted = fractional_mrt_lower_bound(inst.shifted(3))
+        base = mrt_lower_bound(inst)
+        shifted = mrt_lower_bound(inst.shifted(3))
         assert shifted == base
 
     @given(unit_instances(max_ports=3, max_flows=5))
@@ -88,12 +88,12 @@ class TestSchedulingMonotonicity:
     def test_capacity_augmentation_weakly_improves_mrt(self, inst):
         if inst.num_flows == 0:
             return
-        base = fractional_mrt_lower_bound(inst)
+        base = mrt_lower_bound(inst)
         doubled = Instance.create(
             inst.switch.augmented(factor=2.0),
             [Flow(f.src, f.dst, f.demand, f.release) for f in inst.flows],
         )
-        assert fractional_mrt_lower_bound(doubled) <= base
+        assert mrt_lower_bound(doubled) <= base
 
 
 class TestScheduleResponseConsistency:

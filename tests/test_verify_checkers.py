@@ -174,6 +174,24 @@ class TestCheckLPCertificate:
         vr = check_lp_certificate(lying)
         assert {"bound-above-objective", "bound-oracle-mismatch"} <= codes(vr)
 
+    def test_precomputed_oracle_values(self, inst):
+        # recompute may map bound names to values already in hand: they
+        # are compared as the oracle's, and a name it lacks is unchecked.
+        report = get_solver("FS-ART").solve(inst)
+        claimed = report.lower_bounds["lp_total_response"]
+        vr = check_lp_certificate(
+            report, recompute={"lp_total_response": claimed}
+        )
+        assert vr.ok
+        assert vr.stats["oracle:lp_total_response"] == claimed
+        wrong = check_lp_certificate(
+            report, recompute={"lp_total_response": claimed + 1.0}
+        )
+        assert codes(wrong) == {"bound-oracle-mismatch"}
+        unchecked = check_lp_certificate(report, recompute={"rho_star": 1.0})
+        assert unchecked.ok
+        assert "oracle:lp_total_response" not in unchecked.checks
+
     def test_augmented_schedule_may_beat_bound(self, inst):
         # FS-MRT's augmented schedule responds within rho*; the checker
         # must not flag objective < bound for augmented reports.

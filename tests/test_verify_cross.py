@@ -15,6 +15,7 @@ import pytest
 from repro.api import get_solver, list_solvers
 from repro.core.schedule import Schedule
 from repro.scenarios import build_instance
+from repro.utils.timing import Timer
 from repro.verify import (
     check_lp_certificate,
     check_schedule,
@@ -110,6 +111,24 @@ class TestCrossCheck:
             assert "Greedy" in result.reports
         finally:
             unregister_solver("Exploding")
+
+    def test_bounds_computed_once(self):
+        # The certificate checks and the mutual-bound checks share one
+        # computation of each bound: 2 builds and 2 solves, not 4 and 4.
+        inst = build_instance("paper-default:ports=8,mean=8,horizon=6", seed=1)
+        timer = Timer()
+        with timer.recording():
+            result = cross_check(inst)
+        assert result.ok, result.verification.render()
+        assert timer.counts["lp_bound_build"] == 2
+        assert timer.counts["lp_bound_solve"] == 2
+        stats = result.verification.stats
+        assert stats["FS-ART/certificate:oracle:lp_total_response"] == (
+            stats["art_total_bound"]
+        )
+        assert stats["FS-MRT/certificate:oracle:rho_star"] == (
+            stats["mrt_rho_bound"]
+        )
 
 
 class TestCorruptedArtifacts:

@@ -62,6 +62,17 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _positive_seconds(value: str) -> float:
+    """argparse type for durations that must be positive and finite
+    (e.g. ``--timeout``)."""
+    seconds = float(value)
+    if not 0 < seconds < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {value}"
+        )
+    return seconds
+
+
 def _parse_params(pairs) -> dict:
     """Parse ``-p key=value`` pairs; values go through JSON when possible."""
     params = {}
@@ -809,9 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver-cap", type=_positive_int, default=16,
                    help="max in-flight keys per solver before 429 "
                         "solver-busy")
-    p.add_argument("--timeout", type=float, default=120.0,
+    p.add_argument("--timeout", type=_positive_seconds, default=120.0,
                    help="default per-request wait bound, seconds")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
+    p.add_argument("--drain-timeout", type=_positive_seconds, default=30.0,
                    help="seconds to wait for in-flight solves on shutdown")
     p.add_argument("--verify", action="store_true",
                    help="certify every fresh solve before it is stored "
@@ -838,13 +849,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver parameter (repeatable; value parsed as JSON)")
     p.add_argument("--verify", action="store_true",
                    help="request certification for this solve")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive_seconds, default=None,
                    help="per-request wait bound, seconds (server default "
                         "otherwise)")
     p.add_argument("--retries", type=int, default=0,
                    help="retry count for 429 overload rejections "
                         "(honours Retry-After)")
-    p.add_argument("--http-timeout", type=float, default=300.0,
+    p.add_argument("--http-timeout", type=_positive_seconds,
+                   default=300.0,
                    help="transport timeout per HTTP exchange, seconds")
     p.add_argument("--json", action="store_true",
                    help="print the raw protocol response; on an error, "

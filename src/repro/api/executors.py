@@ -27,6 +27,8 @@ from typing import (
     Protocol,
 )
 
+from repro.utils.validation import check_positive_int
+
 
 class SweepInterrupted(KeyboardInterrupt):
     """A sweep was interrupted mid-flight, with partial results flushed.
@@ -128,7 +130,7 @@ class MultiprocessingExecutor:
     Parameters
     ----------
     jobs:
-        Worker process count (default: all CPUs).
+        Worker process count, a positive integer (default: all CPUs).
     chunk_size:
         Items per task handed to a worker; default splits the item list
         into ~4 chunks per worker, amortizing IPC without starving the
@@ -140,9 +142,11 @@ class MultiprocessingExecutor:
     def __init__(
         self, jobs: Optional[int] = None, chunk_size: Optional[int] = None
     ):
-        self.jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = (
+            (os.cpu_count() or 1)
+            if jobs is None
+            else check_positive_int(jobs, "jobs")
+        )
         self.chunk_size = chunk_size
 
     def _plan(self, items):
@@ -202,9 +206,7 @@ def make_executor(
             )
         return spec
     if spec == "serial":
-        if jobs is not None and int(jobs) < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs is not None and int(jobs) > 1:
+        if jobs is not None and check_positive_int(jobs, "jobs") > 1:
             return MultiprocessingExecutor(jobs)
         return SerialExecutor()
     if spec == "multiprocessing":

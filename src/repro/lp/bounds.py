@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.greedy import greedy_earliest_fit
 from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
+from repro.core.schedule import Schedule
 from repro.lp.solver import solve_lp
 from repro.utils.timing import measure
 from repro.utils.validation import check_positive_int
@@ -112,6 +113,13 @@ class LPBoundOracle:
         Cold-work counters.  The LP is built on the first query that
         needs a solve, so ``builds`` is 0 or 1 for any number of queries,
         and 0 when the counting bound closes the search.
+    greedy:
+        The greedy earliest-fit schedule that set the default cap, whose
+        max response is ``rho_cap``; ``None`` when the caller passed
+        ``rho_cap`` (and for an empty instance).  When
+        :meth:`lower_bound` ends on ``rho_cap``, it is an integral
+        schedule meeting ρ* (:func:`repro.mrt.algorithm.solve_mrt`
+        returns it).
 
     Example
     -------
@@ -130,10 +138,12 @@ class LPBoundOracle:
         self._feasible: Dict[int, bool] = {}
         self._lp = None
         self._offsets = None
+        self.greedy: Optional[Schedule] = None
         if rho_cap is not None:
             rho_cap = check_positive_int(rho_cap, "rho_upper")
         elif instance.num_flows:
-            rho_cap = max_response_time(greedy_earliest_fit(instance))
+            self.greedy = greedy_earliest_fit(instance)
+            rho_cap = max_response_time(self.greedy)
             # The greedy schedule certifies feasibility at its own bound;
             # this memo entry is the only certificate a cap gets for free.
             self._feasible[rho_cap] = True

@@ -36,6 +36,7 @@ from typing import Callable, List, Optional
 
 from repro.service.jobs import DEFAULT_CLAIM_TIMEOUT, Job, JobQueue
 from repro.utils.timing import Timer, measure
+from repro.utils.validation import check_positive_int
 
 
 def default_owner() -> str:
@@ -322,14 +323,13 @@ class WorkerPool:
         claim_timeout: float = DEFAULT_CLAIM_TIMEOUT,
         on_job: Optional[Callable[[Job], None]] = None,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        workers = check_positive_int(workers, "workers")
         if mode not in ("process", "thread"):
             raise ValueError(f"mode must be 'process' or 'thread', got {mode!r}")
         if on_job is not None and mode != "thread":
             raise ValueError("on_job instrumentation requires mode='thread'")
         self.cache_dir = str(cache_dir)
-        self.workers = int(workers)
+        self.workers = workers
         self.mode = mode
         self.poll_interval = poll_interval
         self.claim_timeout = claim_timeout

@@ -221,6 +221,16 @@ class TestExecutors:
                 MultiprocessingExecutor(jobs=bad)
             with pytest.raises(ValueError, match="jobs"):
                 make_executor("serial", jobs=bad)
+        # A non-integer count is rejected, not truncated, and a bool is
+        # not a count.
+        for bad in (2.5, 1.9, True, "2"):
+            with pytest.raises(TypeError, match="jobs must be an integer"):
+                MultiprocessingExecutor(jobs=bad)
+            for spec in ("serial", "multiprocessing"):
+                with pytest.raises(
+                    TypeError, match="jobs must be an integer"
+                ):
+                    make_executor(spec, jobs=bad)
         # None means "auto" (all CPUs).
         assert MultiprocessingExecutor().jobs >= 1
 

@@ -564,6 +564,29 @@ class TestServiceCommands:
             main(["serve", "--cache-dir", str(tmp_path),
                   "--join", str(tmp_path)])
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("serve", "--timeout"),
+            ("serve", "--drain-timeout"),
+            ("submit", "--timeout"),
+            ("submit", "--http-timeout"),
+        ],
+    )
+    def test_timeouts_must_be_positive_and_finite(
+        self, command, flag, capsys
+    ):
+        # Parsing alone must fail: no server starts, no request is sent.
+        for bad in ("0", "-1", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command, flag, bad])
+            assert exc.value.code == 2
+            assert "positive, finite number of seconds" in (
+                capsys.readouterr().err
+            )
+        args = build_parser().parse_args([command, flag, "0.5"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0.5
+
     def test_submit_requires_exactly_one_source(self, trace):
         with pytest.raises(SystemExit, match="exactly one"):
             main(["submit"])

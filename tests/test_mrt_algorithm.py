@@ -1,5 +1,6 @@
 """Tests for the FS-MRT solver (Theorem 3 end to end)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,11 +10,30 @@ from repro.core.instance import Instance
 from repro.core.metrics import max_response_time
 from repro.core.schedule import validate_schedule
 from repro.core.switch import Switch
-from repro.lp.bounds import mrt_lower_bound
+from repro.lp.bounds import LPBoundOracle, mrt_lower_bound
 from repro.mrt.algorithm import schedule_time_constrained, solve_mrt
 from repro.mrt.exact import exact_min_max_response
 from repro.mrt.time_constrained import from_deadlines
 from tests.conftest import capacitated_instances, unit_instances
+
+
+def _assert_rounds_unless_greedy_meets_rho(inst, res):
+    """The greedy schedule comes back unrounded exactly when it meets
+    rho*; every other solve runs the rounding loop."""
+    greedy = greedy_earliest_fit(inst)
+    if res.rho == max_response_time(greedy):
+        np.testing.assert_array_equal(
+            res.schedule.assignment, greedy.assignment
+        )
+        assert res.rounding_iterations == 0
+        assert res.max_violation == 0
+    else:
+        assert res.rounding_iterations >= 1
+
+
+def _incast():
+    """Four flows into output 0: rho* = 4 = the greedy cap."""
+    return Instance.create(Switch.create(4), [Flow(i, 0) for i in range(4)])
 
 
 class TestSolveMRT:
@@ -65,6 +85,7 @@ class TestSolveMRT:
         assert res.rho <= opt
         assert max_response_time(res.schedule) <= res.rho
         assert res.max_violation <= 1  # 2*1 - 1
+        _assert_rounds_unless_greedy_meets_rho(inst, res)
 
     @given(capacitated_instances(max_flows=6))
     @settings(max_examples=30, deadline=None)
@@ -80,6 +101,40 @@ class TestSolveMRT:
             res.schedule,
             inst.switch.augmented(additive=max(res.max_violation, 0)),
         )
+        _assert_rounds_unless_greedy_meets_rho(inst, res)
+
+
+class TestGreedyShortcut:
+    """rho* equal to the greedy cap: the greedy schedule is an integral
+    optimal vertex of LP (19)-(21) at rho*, returned with no LP after
+    the search."""
+
+    def test_incast_returns_greedy_schedule(self):
+        inst = _incast()
+        res = solve_mrt(inst)
+        assert res.rho == 4
+        np.testing.assert_array_equal(
+            res.schedule.assignment, greedy_earliest_fit(inst).assignment
+        )
+        assert res.lp_solves == 0
+        assert res.rounding_iterations == 0
+        assert res.max_violation == 0
+        assert res.fallback_drops == 0
+
+    def test_oracle_keeps_its_greedy_schedule(self):
+        inst = _incast()
+        oracle = LPBoundOracle(inst)
+        np.testing.assert_array_equal(
+            oracle.greedy.assignment, greedy_earliest_fit(inst).assignment
+        )
+        assert max_response_time(oracle.greedy) == oracle.rho_cap
+        # A caller's cap certifies no schedule, so the solve rounds.
+        assert LPBoundOracle(inst, rho_cap=4).greedy is None
+        empty = Instance.create(Switch.create(1), [])
+        assert LPBoundOracle(empty).greedy is None
+        capped = solve_mrt(inst, rho_upper=4)
+        assert capped.rho == 4
+        assert capped.rounding_iterations >= 1
 
 
 class TestLowerBoundAndDeadlines:

@@ -30,7 +30,9 @@ import repro
 from repro.api.adapters import GreedySolver
 from repro.api.registry import register_solver, unregister_solver
 from repro.api.store import ResultStore, canonical_key, live_records
+from repro.core.flow import Flow
 from repro.core.instance import Instance
+from repro.core.switch import Switch
 from repro.service import (
     BrokerConfig,
     Job,
@@ -400,6 +402,22 @@ class TestServiceEndToEnd:
             client.result("0" * 64, "Greedy")
         assert excinfo.value.code == "not-found"
         assert excinfo.value.status == 404
+
+    def test_fs_mrt_greedy_shortcut_is_certified(self, service):
+        # rho* = 4 = the greedy cap: FS-MRT returns the greedy schedule
+        # with no LP, and certification still passes.
+        inst = Instance.create(
+            Switch.create(4), [Flow(i, 0) for i in range(4)]
+        )
+        client = ServiceClient(service.address, timeout=60.0)
+        response = client.solve("FS-MRT", instance=inst, verify=True)
+        assert response.ok and response.source == "solved"
+        assert response.certified is True
+        report = response.solve_report()
+        assert report.extras["lp_solves"] == 0
+        assert report.extras["rounding_iterations"] == 0
+        assert report.metrics.max_augmentation == 0
+        assert report.metrics.max_response == report.lower_bounds["rho_star"]
 
     def test_scenario_request_solved_server_side(self, service):
         client = ServiceClient(service.address, timeout=60.0)
@@ -917,6 +935,16 @@ class TestWakeups:
         assert not member.is_alive()
         assert errors == []  # its done ring found the bell still open
         assert queue.read_done(key)["ok"] is True
+
+    def test_bad_worker_counts_rejected(self, tmp_path):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                WorkerPool(tmp_path, bad, mode="thread")
+        # A non-integer count is rejected, not truncated, and a bool is
+        # not a count.
+        for bad in (2.5, True, "2"):
+            with pytest.raises(TypeError, match="workers must be an integer"):
+                WorkerPool(tmp_path, bad, mode="thread")
 
     def test_stopped_pool_cannot_restart(self, tmp_path):
         pool = WorkerPool(tmp_path, 1, mode="thread")

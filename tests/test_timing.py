@@ -14,6 +14,9 @@ import pytest
 
 from repro.api import get_solver, list_solvers
 from repro.api.adapters import PolicySolver
+from repro.core.flow import Flow
+from repro.core.instance import Instance
+from repro.core.switch import Switch
 from repro.obs.spans import Tracer, session
 from repro.utils.timing import Timer, current_timer, measure
 from repro.workloads.synthetic import poisson_uniform_workload
@@ -81,6 +84,17 @@ def test_solve_batch_spans_match_report_timings(name):
 def test_lp_pipelines_record_their_phases(name, phases):
     report = get_solver(name).solve(_instance())
     assert phases <= set(report.timings)
+
+
+def test_fs_mrt_greedy_shortcut_records_no_lp_phase():
+    # Four flows into one output: the port-load floor meets the greedy
+    # cap (4), so FS-MRT returns the greedy schedule and no LP runs.
+    inst = Instance.create(Switch.create(4), [Flow(i, 0) for i in range(4)])
+    report, spans = _traced(lambda: get_solver("FS-MRT").solve(inst))
+    assert not {"rounding_lp", "lp_bound_build", "lp_bound_solve"} & set(
+        report.timings
+    )
+    _assert_spans_match_timings(spans, report.timings)
 
 
 def test_innermost_timer_receives_the_phase():
